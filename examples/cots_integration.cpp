@@ -54,8 +54,9 @@ class CotsPartsService {
   extract::OpDeltaCapture* capture_;
 };
 
-int main() {
-  const std::string root = "/tmp/opdelta_cots";
+// Usage: cots_integration [work_dir]  (default /tmp/opdelta_cots; wiped first)
+int main(int argc, char** argv) {
+  const std::string root = argc > 1 ? argv[1] : "/tmp/opdelta_cots";
   (void)Env::Default()->RemoveDirAll(root);  // fresh demo dir; best effort
 
   engine::DatabaseOptions options;

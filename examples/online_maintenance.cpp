@@ -48,8 +48,9 @@ void OlapThread(engine::Database* wh, std::atomic<bool>* stop,
 
 }  // namespace
 
-int main() {
-  const std::string root = "/tmp/opdelta_online";
+// Usage: online_maintenance [work_dir]  (default /tmp/opdelta_online; wiped first)
+int main(int argc, char** argv) {
+  const std::string root = argc > 1 ? argv[1] : "/tmp/opdelta_online";
   (void)Env::Default()->RemoveDirAll(root);  // fresh demo dir; best effort
 
   // Source: capture one change set both ways.

@@ -32,8 +32,9 @@ using namespace opdelta;
     }                                                               \
   } while (0)
 
-int main() {
-  const std::string root = "/tmp/opdelta_parts_warehouse";
+// Usage: parts_warehouse [work_dir]  (default /tmp/opdelta_parts_warehouse; wiped first)
+int main(int argc, char** argv) {
+  const std::string root = argc > 1 ? argv[1] : "/tmp/opdelta_parts_warehouse";
   (void)Env::Default()->RemoveDirAll(root);  // fresh demo dir; best effort
 
   std::unique_ptr<engine::Database> source;

@@ -30,8 +30,9 @@ using namespace opdelta;  // examples favour brevity
     }                                                               \
   } while (0)
 
-int main() {
-  const std::string root = "/tmp/opdelta_quickstart";
+// Usage: quickstart [work_dir]  (default /tmp/opdelta_quickstart; wiped first)
+int main(int argc, char** argv) {
+  const std::string root = argc > 1 ? argv[1] : "/tmp/opdelta_quickstart";
   (void)Env::Default()->RemoveDirAll(root);  // fresh demo dir; best effort
 
   // --- 1. Source system -------------------------------------------------

@@ -160,11 +160,9 @@ Status ChunkWindow::InspectShipped(const std::string& message, uint64_t id,
                                    std::vector<WindowRow>* rows,
                                    bool* saw_low, bool* saw_high,
                                    bool* touched) {
-  extract::BatchId batch_id;
-  std::string payload;
-  OPDELTA_RETURN_IF_ERROR(
-      pipeline::DecodeBatchFrame(message, &batch_id, &payload));
-  if (payload.empty()) return Status::Corruption("empty shipped message");
+  pipeline::ShippedMessage shipped;
+  OPDELTA_RETURN_IF_ERROR(pipeline::DecodeMessage(Slice(message), &shipped));
+  const uint64_t schema_epoch = shipped.id.schema_epoch;
 
   std::set<int64_t> have;
   if (collect) {
@@ -185,10 +183,8 @@ Status ChunkWindow::InspectShipped(const std::string& message, uint64_t id,
     for (int64_t key : keys) note_key(key);
   };
 
-  if (pipeline::IsValueDeltaMessage(payload)) {
-    extract::DeltaBatch batch;
-    OPDELTA_RETURN_IF_ERROR(
-        pipeline::DecodeValueDeltaMessage(payload, &batch));
+  if (shipped.kind == pipeline::PayloadKind::kValueDelta) {
+    const extract::DeltaBatch& batch = shipped.batch;
     if (batch.table != table_ || batch.records.empty()) return Status::OK();
     if (mode == CloseMode::kDetect) {
       // Value-delta streams carry no watermark markers (windows close on a
@@ -208,19 +204,15 @@ Status ChunkWindow::InspectShipped(const std::string& message, uint64_t id,
     mark_keys(keys);
     return Status::OK();
   }
-  if (!pipeline::IsOpDeltaMessage(payload)) {
-    return Status::Corruption("unknown pipeline message tag");
-  }
-
-  const std::string body = payload.substr(1);
   // Other tables can share this leg's capture wrapper; hybrid-mode before
   // images need every touched table's schema to parse — decode against
   // the cached all-tables map of the epoch the frame was encoded under.
   OPDELTA_ASSIGN_OR_RETURN(
       std::shared_ptr<const catalog::SchemaMap> schemas,
-      source_->SchemaMapAt(batch_id.schema_epoch));
+      source_->SchemaMapAt(schema_epoch));
   std::vector<extract::OpDeltaTxn> txns;
-  OPDELTA_RETURN_IF_ERROR(extract::ParseOpDeltaLog(body, *schemas, &txns));
+  OPDELTA_RETURN_IF_ERROR(
+      extract::ParseOpDeltaLog(shipped.op_body, *schemas, &txns));
   for (const extract::OpDeltaTxn& t : txns) {
     for (const extract::OpDeltaRecord& op : t.ops) {
       if (op.is_schema_event()) {
@@ -233,7 +225,7 @@ Status ChunkWindow::InspectShipped(const std::string& message, uint64_t id,
       }
       OPDELTA_ASSIGN_OR_RETURN(
           sql::Statement stmt,
-          stmt_cache_.Parse(op.sql, batch_id.schema_epoch));
+          stmt_cache_.Parse(op.sql, schema_epoch));
       if (stmt.is_insert()) {
         const sql::InsertStmt& ins = stmt.insert();
         if (ins.table == options_.signal_table) {

@@ -189,9 +189,9 @@ class Database {
   /// immutable; holders keep a consistent pre-DDL view.
   std::shared_ptr<const catalog::SchemaMap> CurrentSchemaMap();
 
-  /// Schemas as of `epoch`, for decoding epoch-stamped frames. Epoch 0
-  /// (legacy frames predating epoch stamping) means "current". Unknown or
-  /// future epochs fail with kSchemaMismatch rather than guessing.
+  /// Schemas as of `epoch`, for decoding epoch-stamped frames. Unknown or
+  /// future epochs (and 0: the catalog starts at 1) fail with
+  /// kSchemaMismatch rather than guessing.
   Result<std::shared_ptr<const catalog::SchemaMap>> SchemaMapAt(
       uint64_t epoch);
   txn::Wal* wal() { return &wal_; }

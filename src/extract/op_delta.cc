@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <string_view>
 
 #include "catalog/row_codec.h"
 
@@ -413,7 +414,7 @@ class TxnAssembler {
   std::vector<OpDeltaTxn> committed_;
 };
 
-Status ParseLogImpl(const std::string& data, const SchemaMap& schemas,
+Status ParseLogImpl(std::string_view data, const SchemaMap& schemas,
                     const catalog::Schema* fallback,
                     std::vector<OpDeltaTxn>* out) {
   TxnAssembler assembler(schemas, fallback);
@@ -421,9 +422,9 @@ Status ParseLogImpl(const std::string& data, const SchemaMap& schemas,
   size_t start = 0;
   while (start < data.size()) {
     size_t end = data.find('\n', start);
-    if (end == std::string::npos) end = data.size();
+    if (end == std::string_view::npos) end = data.size();
     if (end > start) {
-      const std::string line = data.substr(start, end - start);
+      const std::string line(data.substr(start, end - start));
       // "<kind> <txn> [<seq> <payload...>]"
       const size_t sp1 = line.find(' ');
       if (sp1 == std::string::npos || sp1 != 1) {
@@ -537,8 +538,9 @@ uint64_t OpDeltaVolumeBytes(const std::vector<OpDeltaTxn>& txns,
   return total;
 }
 
-std::string SerializeOpDeltaTxns(const std::vector<OpDeltaTxn>& txns) {
-  std::string out;
+void SerializeOpDeltaTxns(const std::vector<OpDeltaTxn>& txns,
+                          std::string* dst) {
+  std::string& out = *dst;
   for (const OpDeltaTxn& t : txns) {
     out += "B " + std::to_string(t.id) + "\n";
     for (const OpDeltaRecord& op : t.ops) {
@@ -562,12 +564,11 @@ std::string SerializeOpDeltaTxns(const std::vector<OpDeltaTxn>& txns) {
     }
     out += "C " + std::to_string(t.id) + "\n";
   }
-  return out;
 }
 
-Status ParseOpDeltaLog(const std::string& data, const SchemaMap& schemas,
+Status ParseOpDeltaLog(Slice data, const SchemaMap& schemas,
                        std::vector<OpDeltaTxn>* out) {
-  return ParseLogImpl(data, schemas, nullptr, out);
+  return ParseLogImpl(data.view(), schemas, nullptr, out);
 }
 
 }  // namespace opdelta::extract

@@ -215,13 +215,14 @@ class OpDeltaLogReader {
 uint64_t OpDeltaVolumeBytes(const std::vector<OpDeltaTxn>& txns,
                             const catalog::Schema& schema);
 
-/// Serializes transactions in the file-log line format — the Op-Delta wire
-/// representation used for queue shipping.
-std::string SerializeOpDeltaTxns(const std::vector<OpDeltaTxn>& txns);
+/// Appends transactions to `*out` in the file-log line format — the
+/// Op-Delta wire representation used for queue shipping.
+void SerializeOpDeltaTxns(const std::vector<OpDeltaTxn>& txns,
+                          std::string* out);
 
 /// Parses a serialized log buffer (inverse of SerializeOpDeltaTxns / the
 /// file sink's output). Only committed transactions are returned.
-Status ParseOpDeltaLog(const std::string& data, const SchemaMap& schemas,
+Status ParseOpDeltaLog(Slice data, const SchemaMap& schemas,
                        std::vector<OpDeltaTxn>* out);
 
 }  // namespace opdelta::extract

@@ -16,7 +16,7 @@ namespace opdelta::hub {
 /// error that diverted it. On-disk frame:
 ///   [u32 message_len][message][u32 cause_len][cause]
 struct DeadLetterEntry {
-  extract::BatchId id;  // invalid when the message carried no identity
+  extract::BatchId id;  // invalid when the message did not decode
   std::string message;
   std::string cause;
 };

@@ -92,7 +92,7 @@ struct DeltaHub::Group {
 struct DeltaHub::StagedBatch {
   Group* group = nullptr;
   std::string message;
-  extract::BatchId id;           // stamped identity (invalid if unframed)
+  extract::BatchId id;           // stamped identity (invalid if undecodable)
   uint64_t bytes = 0;
   std::vector<Source*> acks;     // queues to advance after integration
   Status status;                 // written by the worker before `done`
@@ -438,8 +438,10 @@ Status DeltaHub::DrainBacklog(Group* group) {
     std::string staged;
     extract::BatchId staged_id;
     if (group->members.size() == 1) {
-      OPDELTA_RETURN_IF_ERROR(
-          pipeline::DecodeBatchHeader(Slice(messages[0]), &staged_id));
+      // A message whose identity does not decode still goes to the apply
+      // worker: its decode fails there and the dead-letter path diverts
+      // it, so one poison message cannot wedge the source.
+      (void)pipeline::DecodeMessageId(Slice(messages[0]), &staged_id);
       staged = std::move(messages[0]);
     } else {
       // Replica group: merge this round's per-replica batches into one
@@ -450,26 +452,23 @@ Status DeltaHub::DrainBacklog(Group* group) {
       std::vector<extract::DeltaBatch> batches(messages.size());
       std::vector<const extract::DeltaBatch*> replica_order;
       for (size_t i = 0; i < messages.size(); ++i) {
-        extract::BatchId member_id;
-        std::string inner;
+        pipeline::ShippedMessage member;
         OPDELTA_RETURN_IF_ERROR(
-            pipeline::DecodeBatchFrame(messages[i], &member_id, &inner));
-        if (i == 0) staged_id = member_id;
-        OPDELTA_RETURN_IF_ERROR(
-            pipeline::DecodeValueDeltaMessage(inner, &batches[i]));
+            pipeline::DecodeMessage(Slice(messages[i]), &member));
+        if (member.kind != pipeline::PayloadKind::kValueDelta) {
+          return Status::Corruption("replica group member " +
+                                    member.id.ToString() +
+                                    " shipped a non-value-delta batch");
+        }
+        if (i == 0) staged_id = member.id;
+        batches[i] = std::move(member.batch);
         replica_order.push_back(&batches[i]);
       }
       extract::Reconciler::Stats rstats;
       OPDELTA_ASSIGN_OR_RETURN(
           extract::DeltaBatch merged,
           extract::Reconciler::Reconcile(replica_order, &rstats));
-      std::string inner;
-      pipeline::EncodeValueDeltaMessage(merged, &inner);
-      if (staged_id.valid()) {
-        pipeline::EncodeBatchFrame(staged_id, inner, &staged);
-      } else {
-        staged = std::move(inner);
-      }
+      pipeline::EncodeValueDeltaMessage(staged_id, merged, &staged);
       std::lock_guard<common::OrderedMutex> lock(stats_mutex_);
       stats_.batches_reconciled += present.size();
       stats_.duplicates_dropped += rstats.duplicates_dropped;
@@ -697,8 +696,7 @@ void DeltaHub::ApplyWorkerLoop(size_t worker_index) {
           entry.duplicates_dropped += istats.duplicate_batches;
           // The per-source applied watermark mirrors the ledger: the
           // identity of the newest batch committed for this source.
-          if (batch->id.valid() &&
-              source->spec.name == batch->id.source_id) {
+          if (source->spec.name == batch->id.source_id) {
             entry.applied_epoch = batch->id.epoch;
             entry.applied_seq = batch->id.seq;
           }
@@ -743,8 +741,11 @@ Status DeltaHub::DeadLetter(StagedBatch* batch, const Status& cause) {
   // as diverted-not-applied, so a later operator replay is admitted below
   // the watermark instead of being mistaken for a duplicate. (A crash
   // after the hole but before the log append leaves a harmless extra
-  // hole; the reverse order could silently strand the batch.)
-  OPDELTA_RETURN_IF_ERROR(ledger_->RecordSkip(batch->id));
+  // hole; the reverse order could silently strand the batch.) A message
+  // whose identity never decoded has no ledger position to mark.
+  if (batch->id.valid()) {
+    OPDELTA_RETURN_IF_ERROR(ledger_->RecordSkip(batch->id));
+  }
   // Persist the undeliverable batch — identity frame included, so manual
   // replay flows through the same duplicate check — then acknowledge it
   // so the queue advances past the poison message.

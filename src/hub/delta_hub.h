@@ -216,10 +216,10 @@ struct HubStats {
 /// partitioned by warehouse table. Batches from a replica group pass
 /// through extract::Reconciler first, yielding one authoritative stream.
 ///
-/// Restart safety: per-source watermarks persist exactly as CdcPipeline's
-/// do (after the durable ship), and staged-but-unacknowledged batches
-/// replay from each source's PersistentQueue — a batch is acknowledged
-/// only after successful integration.
+/// Restart safety: each source's SourceLeg persists its watermark after
+/// the durable ship, and staged-but-unacknowledged batches replay from
+/// each source's PersistentQueue — a batch is acknowledged only after
+/// successful integration.
 ///
 /// Usage: Create → AddSource×N → Setup → RunRound loop or Start/Stop.
 class DeltaHub {

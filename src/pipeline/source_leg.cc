@@ -2,7 +2,6 @@
 
 #include "common/clock.h"
 #include "common/coding.h"
-#include "common/crc32.h"
 #include "common/env.h"
 #include "extract/log_extractor.h"
 #include "extract/timestamp_extractor.h"
@@ -11,87 +10,6 @@
 namespace opdelta::pipeline {
 
 using extract::DeltaBatch;
-
-namespace {
-// Message framing: one byte discriminates value-delta batches from
-// serialized op-delta transaction logs. An identity frame wraps either
-// with the batch identity the warehouse ApplyLedger dedupes on. Two frame
-// generations coexist:
-//   'B' / 'C' — legacy: tag, source, epoch, seq, crc, payload. 'C' marks
-//               a backfill snapshot chunk (BatchId::snapshot). No schema
-//               epoch; decoders stamp 0 ("current schemas", the pre-DDL
-//               behaviour).
-//   'F'       — versioned: 'F', version byte, fixed32 feature bits, kind
-//               byte ('B' live / 'C' snapshot), then source, epoch, seq,
-//               schema_epoch, crc, payload. Unknown versions, feature
-//               bits, or kinds are a reader/writer skew — they fail with
-//               kSchemaMismatch naming the offender, never a guess.
-constexpr char kValueDeltaMessage = 'V';
-constexpr char kOpDeltaMessage = 'O';
-constexpr char kBatchFrame = 'B';
-constexpr char kSnapshotFrame = 'C';
-constexpr char kVersionedFrame = 'F';
-constexpr uint8_t kFrameVersion = 1;
-// Feature bits reserved for additive frame extensions. None are defined
-// yet, so any set bit comes from a newer writer this build cannot decode.
-constexpr uint32_t kKnownFeatureBits = 0;
-
-bool IsFramed(char tag) {
-  return tag == kBatchFrame || tag == kSnapshotFrame || tag == kVersionedFrame;
-}
-
-// Decodes the fields after the frame preamble (shared by both
-// generations; `versioned` adds the schema_epoch field).
-Status DecodeFrameFields(Slice* input, bool versioned, extract::BatchId* id,
-                         uint32_t* crc) {
-  Slice source;
-  if (!GetLengthPrefixed(input, &source) ||
-      !GetFixed64(input, &id->epoch) || !GetFixed64(input, &id->seq) ||
-      (versioned && !GetFixed64(input, &id->schema_epoch)) ||
-      !GetFixed32(input, crc)) {
-    return Status::Corruption("batch identity frame");
-  }
-  id->source_id = source.ToString();
-  return Status::OK();
-}
-
-// Consumes a versioned-frame preamble (version, feature bits, kind),
-// rejecting anything this build does not understand.
-Status DecodeVersionedPreamble(Slice* input, extract::BatchId* id) {
-  if (input->empty()) return Status::Corruption("batch frame preamble");
-  const uint8_t version = static_cast<uint8_t>((*input)[0]);
-  input->remove_prefix(1);
-  if (version != kFrameVersion) {
-    return Status::SchemaMismatch(
-        "batch frame version " + std::to_string(version) +
-        " is not supported by this build (max " +
-        std::to_string(kFrameVersion) + ")");
-  }
-  uint32_t features = 0;
-  if (!GetFixed32(input, &features)) {
-    return Status::Corruption("batch frame preamble");
-  }
-  if ((features & ~kKnownFeatureBits) != 0) {
-    uint32_t unknown = features & ~kKnownFeatureBits;
-    std::string hex = "0x";
-    for (int shift = 28; shift >= 0; shift -= 4) {
-      hex.push_back("0123456789abcdef"[(unknown >> shift) & 0xf]);
-    }
-    return Status::SchemaMismatch("batch frame carries unknown feature bits " +
-                                  hex + "; a newer writer produced it");
-  }
-  if (input->empty()) return Status::Corruption("batch frame kind");
-  const char kind = (*input)[0];
-  input->remove_prefix(1);
-  if (kind != kBatchFrame && kind != kSnapshotFrame) {
-    return Status::SchemaMismatch(
-        std::string("batch frame has unknown kind tag '") + kind +
-        "'; a newer writer produced it");
-  }
-  id->snapshot = kind == kSnapshotFrame;
-  return Status::OK();
-}
-}  // namespace
 
 const char* MethodName(Method method) {
   switch (method) {
@@ -120,92 +38,6 @@ bool ParseMethod(const std::string& name, Method* out) {
     return false;
   }
   return true;
-}
-
-bool IsValueDeltaMessage(const std::string& message) {
-  return !message.empty() && message[0] == kValueDeltaMessage;
-}
-
-bool IsOpDeltaMessage(const std::string& message) {
-  return !message.empty() && message[0] == kOpDeltaMessage;
-}
-
-Status DecodeValueDeltaMessage(const std::string& message, DeltaBatch* out) {
-  if (!IsValueDeltaMessage(message)) {
-    return Status::InvalidArgument("not a value-delta message");
-  }
-  return DeltaBatch::DecodeFrom(
-      Slice(message.data() + 1, message.size() - 1), out);
-}
-
-void EncodeValueDeltaMessage(const DeltaBatch& batch, std::string* out) {
-  out->clear();
-  out->push_back(kValueDeltaMessage);
-  batch.EncodeTo(out);
-}
-
-void EncodeBatchFrame(const extract::BatchId& id, const std::string& inner,
-                      std::string* out) {
-  out->clear();
-  out->push_back(kVersionedFrame);
-  out->push_back(static_cast<char>(kFrameVersion));
-  PutFixed32(out, kKnownFeatureBits);
-  out->push_back(id.snapshot ? kSnapshotFrame : kBatchFrame);
-  PutLengthPrefixed(out, Slice(id.source_id));
-  PutFixed64(out, id.epoch);
-  PutFixed64(out, id.seq);
-  PutFixed64(out, id.schema_epoch);
-  // End-to-end payload checksum, stamped once at capture and carried with
-  // the batch through every hop (queue, staging memory, dead-letter files,
-  // any transport). The queue's own per-frame CRC only covers its log;
-  // this one means bit-rot anywhere between capture and apply is caught
-  // at apply time instead of silently integrated.
-  PutFixed32(out, Crc32c(inner.data(), inner.size()));
-  out->append(inner);
-}
-
-Status DecodeBatchHeader(Slice message, extract::BatchId* id) {
-  *id = extract::BatchId();
-  if (message.empty() || !IsFramed(message[0])) return Status::OK();
-  const char tag = message[0];
-  message.remove_prefix(1);
-  const bool versioned = tag == kVersionedFrame;
-  if (versioned) {
-    OPDELTA_RETURN_IF_ERROR(DecodeVersionedPreamble(&message, id));
-  } else {
-    id->snapshot = tag == kSnapshotFrame;
-  }
-  // Header-only read: the payload CRC is verified by DecodeBatchFrame on
-  // the apply path, not here.
-  uint32_t crc = 0;
-  return DecodeFrameFields(&message, versioned, id, &crc);
-}
-
-Status DecodeBatchFrame(const std::string& message, extract::BatchId* id,
-                        std::string* inner) {
-  *id = extract::BatchId();
-  if (message.empty() || !IsFramed(message[0])) {
-    *inner = message;  // legacy / identity-less message
-    return Status::OK();
-  }
-  const char tag = message[0];
-  Slice input(message.data() + 1, message.size() - 1);
-  const bool versioned = tag == kVersionedFrame;
-  if (versioned) {
-    OPDELTA_RETURN_IF_ERROR(DecodeVersionedPreamble(&input, id));
-  } else {
-    id->snapshot = tag == kSnapshotFrame;
-  }
-  uint32_t crc = 0;
-  OPDELTA_RETURN_IF_ERROR(DecodeFrameFields(&input, versioned, id, &crc));
-  if (Crc32c(input.data(), input.size()) != crc) {
-    // Deterministic Corruption: the hub's apply path diverts the batch to
-    // the dead-letter log instead of retrying a damaged payload forever.
-    return Status::Corruption("batch payload crc mismatch for " +
-                              id->ToString());
-  }
-  inner->assign(input.data(), input.size());
-  return Status::OK();
 }
 
 SourceLeg::SourceLeg(engine::Database* source, PipelineOptions options)
@@ -239,7 +71,7 @@ Status SourceLeg::Setup() {
   // the stamps found in it are authoritative.
   OPDELTA_RETURN_IF_ERROR(queue_.ForEachMessage([&](Slice message) {
     extract::BatchId id;
-    if (!DecodeBatchHeader(message, &id).ok() || !id.valid()) return true;
+    if (!DecodeMessageId(message, &id).ok()) return true;
     if (id.epoch > epoch_ || (id.epoch == epoch_ && id.seq >= next_seq_)) {
       epoch_ = id.epoch;
       next_seq_ = id.seq + 1;
@@ -257,11 +89,6 @@ Status SourceLeg::Setup() {
     epoch_ = static_cast<uint64_t>(RealClock::Default()->NowMicros());
     next_seq_ = 1;
   }
-  // Legacy state files predate the drained DDL epoch. Seeding from the
-  // source's current epoch is exact for legs that never saw DDL (the only
-  // legs such a file can belong to).
-  if (drained_epoch_ == 0) drained_epoch_ = source_->ddl_epoch();
-
   switch (options_.method) {
     case Method::kTrigger: {
       Result<std::string> delta_table =
@@ -294,27 +121,23 @@ Status SourceLeg::Setup() {
 
 Status SourceLeg::LoadState() {
   const std::string path = options_.work_dir + "/watermarks";
-  if (!Env::Default()->FileExists(path)) return Status::OK();
+  if (!Env::Default()->FileExists(path)) {
+    // A fresh leg has drained nothing yet: its op log starts at the
+    // source's current schemas.
+    drained_epoch_ = source_->ddl_epoch();
+    return Status::OK();
+  }
   std::string data;
   OPDELTA_RETURN_IF_ERROR(Env::Default()->ReadFileToString(path, &data));
   Slice input(data);
-  uint64_t ts = 0, lsn = 0;
-  if (!GetFixed64(&input, &ts) || !GetFixed64(&input, &lsn)) {
-    return Status::Corruption("pipeline watermark file");
+  uint64_t ts = 0;
+  if (!GetFixed64(&input, &ts) || !GetFixed64(&input, &lsn_watermark_) ||
+      !GetFixed64(&input, &epoch_) || !GetFixed64(&input, &next_seq_) ||
+      !GetFixed64(&input, &drained_epoch_)) {
+    return Status::Corruption("pipeline watermark file " + path +
+                              " is short");
   }
   ts_watermark_ = static_cast<Micros>(ts);
-  lsn_watermark_ = lsn;
-  // Identity fields, absent from pre-ledger state files: those legacy legs
-  // mint a fresh epoch in Setup.
-  uint64_t epoch = 0, next_seq = 0;
-  if (GetFixed64(&input, &epoch) && GetFixed64(&input, &next_seq)) {
-    epoch_ = epoch;
-    next_seq_ = next_seq == 0 ? 1 : next_seq;
-  }
-  // Drained DDL epoch, absent from pre-schema-evolution state files: Setup
-  // seeds those from the source's current epoch.
-  uint64_t drained = 0;
-  if (GetFixed64(&input, &drained)) drained_epoch_ = drained;
   return Status::OK();
 }
 
@@ -332,29 +155,28 @@ Status SourceLeg::SaveState() {
 Status SourceLeg::ExtractPending() {
   engine::Table* src = source_->GetTable(options_.source_table);
 
-  // Frames the inner message under the identity stamped at capture: a
-  // ship retry re-ships these exact bytes under this exact identity, so
-  // the warehouse sees one stable (source, epoch, seq) per batch of data.
-  // Consecutive pending frames get consecutive seqs.
-  auto stage = [&](const std::string& inner, uint64_t records,
-                   uint64_t schema_epoch) {
+  // Frames a payload under the identity stamped at capture: a ship retry
+  // re-ships these exact bytes under this exact identity, so the warehouse
+  // sees one stable (source, epoch, seq) per batch of data. Consecutive
+  // pending frames get consecutive seqs.
+  auto stage = [&](uint64_t records, uint64_t schema_epoch,
+                   const auto& encode) {
     extract::BatchId id{options_.source_id, epoch_,
                         next_seq_ + pending_.size()};
     id.schema_epoch = schema_epoch;
     PendingFrame pf;
     pf.records = records;
     pf.seq = id.seq;
-    EncodeBatchFrame(id, inner, &pf.frame);
+    encode(id, &pf.frame);
     pending_.push_back(std::move(pf));
   };
 
+  DeltaBatch batch;
   switch (options_.method) {
     case Method::kTimestamp: {
       extract::TimestampExtractor extractor(source_, options_.source_table,
                                             options_.timestamp_column);
-      OPDELTA_ASSIGN_OR_RETURN(DeltaBatch batch,
-                               extractor.ExtractSince(ts_watermark_));
-      if (batch.records.empty()) return Status::OK();
+      OPDELTA_ASSIGN_OR_RETURN(batch, extractor.ExtractSince(ts_watermark_));
       // Advance conservatively to the largest timestamp actually seen.
       const int ts_col =
           src->schema().ColumnIndex(options_.timestamp_column);
@@ -364,37 +186,25 @@ Status SourceLeg::ExtractPending() {
           ts_watermark_ = r.image[ts_col].AsTimestamp();
         }
       }
-      std::string inner;
-      EncodeValueDeltaMessage(batch, &inner);
-      stage(inner, batch.records.size(), source_->ddl_epoch());
-      return Status::OK();
+      break;
     }
 
     case Method::kLog: {
       extract::LogExtractor extractor(source_->wal()->dir());
       txn::Lsn new_watermark = lsn_watermark_;
       OPDELTA_ASSIGN_OR_RETURN(
-          DeltaBatch batch,
-          extractor.ExtractSince(lsn_watermark_, src->id(),
-                                 options_.source_table, src->schema(),
-                                 &new_watermark));
+          batch, extractor.ExtractSince(lsn_watermark_, src->id(),
+                                        options_.source_table, src->schema(),
+                                        &new_watermark));
       lsn_watermark_ = new_watermark;
-      if (batch.records.empty()) return Status::OK();
-      std::string inner;
-      EncodeValueDeltaMessage(batch, &inner);
-      stage(inner, batch.records.size(), source_->ddl_epoch());
-      return Status::OK();
+      break;
     }
 
     case Method::kTrigger: {
       OPDELTA_ASSIGN_OR_RETURN(
-          DeltaBatch batch,
+          batch,
           extract::TriggerExtractor::Drain(source_, options_.source_table));
-      if (batch.records.empty()) return Status::OK();
-      std::string inner;
-      EncodeValueDeltaMessage(batch, &inner);
-      stage(inner, batch.records.size(), source_->ddl_epoch());
-      return Status::OK();
+      break;
     }
 
     case Method::kOpDelta: {
@@ -408,7 +218,6 @@ Status SourceLeg::ExtractPending() {
       std::vector<extract::OpDeltaTxn> txns;
       OPDELTA_RETURN_IF_ERROR(extract::OpDeltaLogReader::DrainDbTable(
           source_, options_.op_log_table, *schemas, &txns));
-      if (txns.empty()) return Status::OK();
 
       // Split the drain at schema events: a frame carries exactly one
       // schema-epoch stamp, but before images on the two sides of a DDL
@@ -420,9 +229,10 @@ Status SourceLeg::ExtractPending() {
       uint64_t seg_records = 0;
       auto flush_segment = [&]() {
         if (segment.empty()) return;
-        std::string inner(1, kOpDeltaMessage);
-        inner.append(extract::SerializeOpDeltaTxns(segment));
-        stage(inner, seg_records, drained_epoch_);
+        stage(seg_records, drained_epoch_,
+              [&](const extract::BatchId& id, std::string* frame) {
+                EncodeOpDeltaMessage(id, segment, frame);
+              });
         segment.clear();
         seg_records = 0;
       };
@@ -444,7 +254,12 @@ Status SourceLeg::ExtractPending() {
       return Status::OK();
     }
   }
-  return Status::Internal("bad method");
+  if (batch.records.empty()) return Status::OK();
+  stage(batch.records.size(), source_->ddl_epoch(),
+        [&](const extract::BatchId& id, std::string* frame) {
+          EncodeValueDeltaMessage(id, batch, frame);
+        });
+  return Status::OK();
 }
 
 Status SourceLeg::ExtractAndShip(bool* shipped,
@@ -489,13 +304,11 @@ Status SourceLeg::ShipSnapshot(const extract::DeltaBatch& chunk) {
     // drains them).
     return Status::Busy("live batch pending; retry its ship first");
   }
-  std::string inner;
-  EncodeValueDeltaMessage(chunk, &inner);
   extract::BatchId id{options_.source_id, epoch_, next_seq_,
                       /*snapshot=*/true};
   id.schema_epoch = source_->ddl_epoch();
   std::string message;
-  EncodeBatchFrame(id, inner, &message);
+  EncodeValueDeltaMessage(id, chunk, &message);
   OPDELTA_RETURN_IF_ERROR(queue_.Enqueue(Slice(message), /*durable=*/true));
   next_seq_++;
   stats_.batches_shipped++;
@@ -514,59 +327,50 @@ Status SourceLeg::AckShipped() { return queue_.Ack(); }
 Result<uint64_t> SourceLeg::Backlog() { return queue_.Backlog(); }
 
 Status SourceLeg::Integrate(engine::Database* warehouse,
-                            warehouse::ApplyLedger* ledger,
-                            const std::string& message,
+                            warehouse::ApplyLedger* ledger, Slice message,
                             const ApplyContext& ctx,
                             warehouse::IntegrationStats* stats) {
-  if (message.empty()) return Status::Corruption("empty pipeline message");
-  extract::BatchId id;
-  std::string payload;
-  OPDELTA_RETURN_IF_ERROR(DecodeBatchFrame(message, &id, &payload));
-  if (payload.empty()) return Status::Corruption("empty pipeline message");
-  const char tag = payload[0];
-  const std::string body = payload.substr(1);
+  ShippedMessage decoded;
+  OPDELTA_RETURN_IF_ERROR(DecodeMessage(message, &decoded));
+  if (decoded.kind == PayloadKind::kOpDelta &&
+      options_.warehouse_table != options_.source_table) {
+    return Status::NotSupported(
+        "op-delta pipeline requires matching table names");
+  }
+  // Captured statements can touch auxiliary tables besides the source
+  // table (e.g. the backfill signal table), and hybrid-mode before images
+  // need each touched table's schema to parse — decode against the
+  // all-tables map of the epoch the frame was *encoded* under. A frame
+  // from an epoch this source no longer knows (or does not know yet) fails
+  // with kSchemaMismatch instead of a guessed decode.
+  return ApplyMessage(
+      warehouse, options_.warehouse_table, decoded,
+      [this](uint64_t epoch) { return source_->SchemaMapAt(epoch); }, ledger,
+      ctx, stats);
+}
 
-  if (tag == kValueDeltaMessage) {
-    DeltaBatch batch;
-    OPDELTA_RETURN_IF_ERROR(DeltaBatch::DecodeFrom(Slice(body), &batch));
+Status ApplyMessage(engine::Database* warehouse, const std::string& table,
+                    const ShippedMessage& message,
+                    const SchemaResolver& schemas_at,
+                    warehouse::ApplyLedger* ledger, const ApplyContext& ctx,
+                    warehouse::IntegrationStats* stats) {
+  const extract::BatchId& id = message.id;
+  // Both integrators overwrite their stats; accumulate into the caller's.
+  warehouse::IntegrationStats local;
+  if (message.kind == PayloadKind::kValueDelta) {
     // Net-change integration: idempotent under at-least-once delivery, and
     // exactly-once when a ledger dedupes the redeliveries outright.
-    // ApplyNetChanges overwrites its stats; accumulate into the caller's.
-    warehouse::IntegrationStats local;
     OPDELTA_RETURN_IF_ERROR(warehouse::ApplyNetChanges(
-        warehouse, options_.warehouse_table, batch, id, ledger, &local));
-    if (stats != nullptr) {
-      stats->statements_executed += local.statements_executed;
-      stats->rows_affected += local.rows_affected;
-      stats->transactions += local.transactions;
-      stats->wall_micros += local.wall_micros;
-      stats->outage_micros += local.outage_micros;
-      stats->duplicate_batches += local.duplicate_batches;
-      stats->duplicate_txns += local.duplicate_txns;
-      if (id.schema_epoch > stats->schema_epoch) {
-        stats->schema_epoch = id.schema_epoch;
-      }
+        warehouse, table, message.batch, id, ledger, &local));
+  } else {
+    if (warehouse->GetTable(table) == nullptr) {
+      return Status::NotFound("warehouse table " + table);
     }
-    return Status::OK();
-  }
-  if (tag == kOpDeltaMessage) {
-    // Captured statements can touch auxiliary tables besides the source
-    // table (e.g. the backfill signal table), and hybrid-mode before
-    // images need each touched table's schema to parse — decode against
-    // the all-tables map of the epoch the frame was *encoded* under. A
-    // frame from an epoch this source no longer knows (or does not know
-    // yet) fails with kSchemaMismatch instead of a guessed decode.
-    OPDELTA_ASSIGN_OR_RETURN(
-        std::shared_ptr<const catalog::SchemaMap> schemas,
-        source_->SchemaMapAt(id.schema_epoch));
+    OPDELTA_ASSIGN_OR_RETURN(std::shared_ptr<const catalog::SchemaMap> schemas,
+                             schemas_at(id.schema_epoch));
     std::vector<extract::OpDeltaTxn> txns;
-    OPDELTA_RETURN_IF_ERROR(extract::ParseOpDeltaLog(body, *schemas, &txns));
-    // Rewrite table names when source and warehouse tables differ.
-    if (options_.warehouse_table != options_.source_table) {
-      return Status::NotSupported(
-          "op-delta pipeline requires matching table names");
-    }
-    warehouse::IntegrationStats local;
+    OPDELTA_RETURN_IF_ERROR(
+        extract::ParseOpDeltaLog(message.op_body, *schemas, &txns));
     // The scheduler applies disjoint-footprint transactions concurrently
     // and falls back to the serial integrator on anything it cannot prove
     // safe; with no pool it *is* the serial integrator (plus the cache).
@@ -576,23 +380,22 @@ Status SourceLeg::Integrate(engine::Database* warehouse,
     sched.cache = ctx.statement_cache;
     warehouse::ParallelApplyScheduler scheduler(warehouse, sched);
     OPDELTA_RETURN_IF_ERROR(scheduler.Apply(txns, id, ledger, &local));
-    if (stats != nullptr) {
-      stats->statements_executed += local.statements_executed;
-      stats->rows_affected += local.rows_affected;
-      stats->transactions += local.transactions;
-      stats->txns_parallel += local.txns_parallel;
-      stats->wall_micros += local.wall_micros;
-      stats->outage_micros += local.outage_micros;
-      stats->duplicate_batches += local.duplicate_batches;
-      stats->duplicate_txns += local.duplicate_txns;
-      stats->schema_migrations += local.schema_migrations;
-      if (id.schema_epoch > stats->schema_epoch) {
-        stats->schema_epoch = id.schema_epoch;
-      }
-    }
-    return Status::OK();
   }
-  return Status::Corruption("unknown pipeline message tag");
+  if (stats != nullptr) {
+    stats->statements_executed += local.statements_executed;
+    stats->rows_affected += local.rows_affected;
+    stats->transactions += local.transactions;
+    stats->txns_parallel += local.txns_parallel;
+    stats->wall_micros += local.wall_micros;
+    stats->outage_micros += local.outage_micros;
+    stats->duplicate_batches += local.duplicate_batches;
+    stats->duplicate_txns += local.duplicate_txns;
+    stats->schema_migrations += local.schema_migrations;
+    if (id.schema_epoch > stats->schema_epoch) {
+      stats->schema_epoch = id.schema_epoch;
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace opdelta::pipeline

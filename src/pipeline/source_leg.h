@@ -2,6 +2,7 @@
 #define OPDELTA_PIPELINE_SOURCE_LEG_H_
 
 #include <deque>
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -11,6 +12,7 @@
 #include "extract/delta.h"
 #include "extract/op_delta.h"
 #include "pipeline/pipeline_options.h"
+#include "pipeline/shipped_message.h"
 #include "sql/executor.h"
 #include "sql/statement_cache.h"
 #include "transport/persistent_queue.h"
@@ -20,10 +22,10 @@
 namespace opdelta::pipeline {
 
 /// Shared apply-side machinery a consumer may hand to Integrate. Default
-/// construction means "serial, parse every statement" — the behaviour of
-/// the plain Integrate overloads. All members are caller-owned and may be
-/// shared across legs and threads (the scheduler runs each batch's
-/// transactions on `pool`; the cache is internally synchronized).
+/// construction means "serial, parse every statement". All members are
+/// caller-owned and may be shared across legs and threads (the scheduler
+/// runs each batch's transactions on `pool`; the cache is internally
+/// synchronized).
 struct ApplyContext {
   /// Worker pool for conflict-aware parallel apply. nullptr = serial.
   ThreadPool* pool = nullptr;
@@ -44,8 +46,8 @@ struct LegStats {
 /// One source table's extract→ship half of the Figure-1 loop: watermarked
 /// extraction by any Method, durable shipping through a PersistentQueue,
 /// restart-safe persisted state. The integrate half is pulled by whoever
-/// consumes the queue — `CdcPipeline` inline, or a `hub::DeltaHub` apply
-/// worker — via PeekShipped / Integrate / AckShipped.
+/// consumes the queue (a `hub::DeltaHub` apply worker) via PeekShipped /
+/// Integrate / AckShipped.
 ///
 /// The watermark persists after a successful durable enqueue: once a batch
 /// is staged in the queue it is never re-extracted, and a crash before
@@ -99,27 +101,10 @@ class SourceLeg {
   Result<uint64_t> Backlog();
 
   /// Applies one shipped message to `warehouse` (table
-  /// options().warehouse_table). Value-delta messages integrate as
-  /// idempotent net changes; op-delta messages replay per-transaction.
-  Status Integrate(engine::Database* warehouse, const std::string& message,
-                   warehouse::IntegrationStats* stats) {
-    return Integrate(warehouse, nullptr, message, stats);
-  }
-
-  /// Exactly-once form: the message's stamped BatchId is checked against
-  /// and advanced in `ledger` (may be nullptr) atomically with the apply.
+  /// options().warehouse_table) through ApplyMessage, decoding op-delta
+  /// bodies against this source's schemas of the frame's epoch.
   Status Integrate(engine::Database* warehouse,
-                   warehouse::ApplyLedger* ledger, const std::string& message,
-                   warehouse::IntegrationStats* stats) {
-    return Integrate(warehouse, ledger, message, ApplyContext(), stats);
-  }
-
-  /// Full form: `ctx` supplies the parallel-apply pool and the statement
-  /// cache. Op-delta batches go through the conflict-aware scheduler when
-  /// ctx enables it; ledger and digest semantics are identical to serial
-  /// apply either way.
-  Status Integrate(engine::Database* warehouse,
-                   warehouse::ApplyLedger* ledger, const std::string& message,
+                   warehouse::ApplyLedger* ledger, Slice message,
                    const ApplyContext& ctx,
                    warehouse::IntegrationStats* stats);
 
@@ -160,8 +145,7 @@ class SourceLeg {
   // with the watermarks). The source catalog may already be several DDL
   // changes ahead of rows still sitting in the log; drained before images
   // must decode against the schemas of *this* epoch, not the current one.
-  // 0 = not yet initialized (legacy state file); Setup seeds it from the
-  // source's current epoch, which is exact for legs that never saw DDL.
+  // A leg without a state file seeds it from the source's current epoch.
   uint64_t drained_epoch_ = 0;
   LegStats stats_;
 
@@ -180,36 +164,24 @@ class SourceLeg {
   std::deque<PendingFrame> pending_;
 };
 
-/// Message framing helpers. A shipped message is a one-byte tag ('V' for a
-/// value-delta batch, 'O' for an op-delta transaction log) plus the encoded
-/// body, wrapped in an identity frame that prepends the stamped
-/// extract::BatchId. New frames are versioned ('F' + version + feature
-/// bits + kind) and carry the payload's schema epoch; the legacy 'B'/'C'
-/// frames (no version, no epoch) still decode, stamped schema_epoch 0.
-/// Unknown frame versions, feature bits, or kinds fail with
-/// kSchemaMismatch naming the offender — never a guessed decode. The hub
-/// uses these to reconcile value-delta messages from replica groups before
-/// integration.
-bool IsValueDeltaMessage(const std::string& message);
-bool IsOpDeltaMessage(const std::string& message);
-Status DecodeValueDeltaMessage(const std::string& message,
-                               extract::DeltaBatch* out);
-void EncodeValueDeltaMessage(const extract::DeltaBatch& batch,
-                             std::string* out);
+/// Resolves the schema map an op-delta body decodes against, by the
+/// frame's schema epoch.
+using SchemaResolver =
+    std::function<Result<std::shared_ptr<const catalog::SchemaMap>>(
+        uint64_t schema_epoch)>;
 
-/// Wraps `inner` (a 'V'/'O' message) in a versioned 'F' identity frame.
-void EncodeBatchFrame(const extract::BatchId& id, const std::string& inner,
-                      std::string* out);
-
-/// Splits a message into its identity and inner 'V'/'O' payload. Messages
-/// without a frame (legacy, hand-injected) yield an invalid id and the
-/// whole message as payload — they apply without deduplication.
-Status DecodeBatchFrame(const std::string& message, extract::BatchId* id,
-                        std::string* inner);
-
-/// Reads just the identity (invalid for unframed messages) without copying
-/// the payload.
-Status DecodeBatchHeader(Slice message, extract::BatchId* id);
+/// The one apply path for a decoded message. Value deltas integrate into
+/// `table` as idempotent net changes; op deltas parse against
+/// `schemas_at(id.schema_epoch)` and replay per transaction through the
+/// conflict-aware scheduler `ctx` configures (serial without a pool). The
+/// message's BatchId is checked against and advanced in `ledger` (may be
+/// nullptr) atomically with the apply. Accumulates into `*stats` (may be
+/// nullptr).
+Status ApplyMessage(engine::Database* warehouse, const std::string& table,
+                    const ShippedMessage& message,
+                    const SchemaResolver& schemas_at,
+                    warehouse::ApplyLedger* ledger, const ApplyContext& ctx,
+                    warehouse::IntegrationStats* stats);
 
 }  // namespace opdelta::pipeline
 

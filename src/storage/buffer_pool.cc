@@ -22,7 +22,10 @@ void PageGuard::Release() {
 BufferPool::BufferPool(FileManager* file, size_t capacity)
     : file_(file),
       capacity_(capacity),
-      memory_(std::make_unique<char[]>(capacity * kPageSize)),
+      // Left uninitialized: a frame is always fully written before it is
+      // read (ReadPage rejects short reads, NewPage zeroes its frame), so
+      // untouched frames cost no resident memory.
+      memory_(std::make_unique_for_overwrite<char[]>(capacity * kPageSize)),
       frames_(capacity) {
   free_frames_.reserve(capacity);
   for (size_t i = capacity; i > 0; --i) free_frames_.push_back(i - 1);

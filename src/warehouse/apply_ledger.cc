@@ -35,6 +35,12 @@ catalog::Row LedgerRow(const extract::BatchId& id, const char* kind,
   return row;
 }
 
+Status CheckIdentity(const extract::BatchId& id) {
+  if (id.valid()) return Status::OK();
+  return Status::InvalidArgument(
+      "apply ledger needs a stamped batch identity, got " + id.ToString());
+}
+
 }  // namespace
 
 constexpr char ApplyLedger::kDefaultTable[];
@@ -98,7 +104,7 @@ Result<ApplyLedger::Watermark> ApplyLedger::FindHole(
 
 Result<ApplyLedger::Admission> ApplyLedger::Admit(const extract::BatchId& id,
                                                   uint64_t total_txns) {
-  if (!id.valid()) return Admission{Decision::kFresh, 0};
+  OPDELTA_RETURN_IF_ERROR(CheckIdentity(id));
   OPDELTA_ASSIGN_OR_RETURN(Watermark w, Get(id.source_id));
   if (!w.exists || IdLess(w.epoch, w.seq, id.epoch, id.seq)) {
     return Admission{Decision::kFresh, 0};
@@ -119,7 +125,7 @@ Result<ApplyLedger::Admission> ApplyLedger::Admit(const extract::BatchId& id,
 
 Status ApplyLedger::Advance(txn::Transaction* txn, const extract::BatchId& id,
                             uint64_t txns_applied) {
-  if (!id.valid()) return Status::OK();
+  OPDELTA_RETURN_IF_ERROR(CheckIdentity(id));
   // Clear hole rows for this id first: once the batch applies, it must
   // never be re-admitted below the watermark.
   std::vector<storage::Rid> holes;
@@ -143,7 +149,7 @@ Status ApplyLedger::Advance(txn::Transaction* txn, const extract::BatchId& id,
 }
 
 Status ApplyLedger::RecordSkip(const extract::BatchId& id) {
-  if (!id.valid()) return Status::OK();
+  OPDELTA_RETURN_IF_ERROR(CheckIdentity(id));
   // Carry the already-applied prefix (if the watermark is this very batch)
   // into the hole so a replay resumes instead of repeating transactions.
   OPDELTA_ASSIGN_OR_RETURN(Watermark w, Get(id.source_id));

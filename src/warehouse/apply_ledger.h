@@ -75,8 +75,9 @@ class ApplyLedger {
   };
 
   /// Decides what to do with batch `id` carrying `total_txns` source
-  /// transactions (value-delta batches count as 1). Invalid ids are
-  /// admitted as kFresh — identity-less batches bypass deduplication.
+  /// transactions (value-delta batches count as 1). Admit, Advance and
+  /// RecordSkip refuse an invalid id with kInvalidArgument: every batch the
+  /// ledger sees carries a stamped identity.
   Result<Admission> Admit(const extract::BatchId& id, uint64_t total_txns);
 
   /// Records inside the caller's open warehouse transaction that batch

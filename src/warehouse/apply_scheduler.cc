@@ -296,7 +296,7 @@ void ParallelApplyScheduler::ExecuteOne(Run* run, size_t index) {
       // the first failure would break the contiguous-prefix contract.
       (void)run->db->Abort(txn.get());
     } else if (st.ok()) {
-      if (run->ledger != nullptr && run->id->valid()) {
+      if (run->ledger != nullptr) {
         st = run->ledger->Advance(txn.get(), *run->id,
                                   run->skip + index + 1);
       }
@@ -374,7 +374,7 @@ Status ParallelApplyScheduler::Apply(const std::vector<OpDeltaTxn>& txns,
   IntegrationStats local;
   Stopwatch wall;
   uint64_t skip = 0;
-  if (ledger != nullptr && id.valid()) {
+  if (ledger != nullptr) {
     OPDELTA_ASSIGN_OR_RETURN(ApplyLedger::Admission admission,
                              ledger->Admit(id, txns.size()));
     if (admission.decision == ApplyLedger::Decision::kDuplicate) {

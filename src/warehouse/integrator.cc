@@ -16,7 +16,7 @@ Status ValueDeltaIntegrator::Apply(const extract::DeltaBatch& batch,
                                    IntegrationStats* stats) {
   // A value-delta batch is one indivisible warehouse transaction, so its
   // ledger granularity is all-or-nothing (total_txns = 1).
-  if (ledger != nullptr && id.valid()) {
+  if (ledger != nullptr) {
     OPDELTA_ASSIGN_OR_RETURN(ApplyLedger::Admission admission,
                              ledger->Admit(id, 1));
     if (admission.decision == ApplyLedger::Decision::kDuplicate) {
@@ -106,7 +106,7 @@ Status ValueDeltaIntegrator::Apply(const extract::DeltaBatch& batch,
   }
   // Record apply progress inside the same transaction: the watermark and
   // the delta statements commit or roll back together under the WAL.
-  if (st.ok() && ledger != nullptr && id.valid()) {
+  if (st.ok() && ledger != nullptr) {
     st = ledger->Advance(txn.get(), id, /*txns_applied=*/1);
   }
   if (!st.ok()) {
@@ -182,7 +182,7 @@ Status OpDeltaIntegrator::ApplyOne(const extract::OpDeltaTxn& source_txn,
     }
     OPDELTA_RETURN_IF_ERROR(
         ApplySchemaEvent(*source_txn.ops[0].schema_event, &local));
-    if (ledger != nullptr && id.valid()) {
+    if (ledger != nullptr) {
       std::unique_ptr<txn::Transaction> txn = db_->Begin();
       Status st = ledger->Advance(txn.get(), id, txns_after);
       if (st.ok()) st = db_->Commit(txn.get());
@@ -224,7 +224,7 @@ Status OpDeltaIntegrator::ApplyOne(const extract::OpDeltaTxn& source_txn,
   }
   // Watermark and statements commit atomically: a crash mid-transaction
   // rolls both back, and redelivery resumes exactly at this transaction.
-  if (ledger != nullptr && id.valid()) {
+  if (ledger != nullptr) {
     Status st = ledger->Advance(txn.get(), id, txns_after);
     if (!st.ok()) {
       (void)db_->Abort(txn.get());  // surface the ledger error
@@ -255,7 +255,7 @@ Status OpDeltaIntegrator::Apply(const std::vector<extract::OpDeltaTxn>& txns,
   IntegrationStats local;
   Stopwatch wall;
   uint64_t skip = 0;
-  if (ledger != nullptr && id.valid()) {
+  if (ledger != nullptr) {
     OPDELTA_ASSIGN_OR_RETURN(ApplyLedger::Admission admission,
                              ledger->Admit(id, txns.size()));
     if (admission.decision == ApplyLedger::Decision::kDuplicate) {

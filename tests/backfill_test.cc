@@ -70,40 +70,39 @@ TEST(SnapshotFrameTest, RoundTripsSnapshotMarker) {
   rec.seq = 1;
   rec.image = wl.MakeRow(7);
   batch.records.push_back(rec);
-  std::string inner;
-  pipeline::EncodeValueDeltaMessage(batch, &inner);
 
   extract::BatchId id{"s1", 7, 42, /*snapshot=*/true};
   std::string message;
-  pipeline::EncodeBatchFrame(id, inner, &message);
+  pipeline::EncodeValueDeltaMessage(id, batch, &message);
   ASSERT_FALSE(message.empty());
   // Versioned frame; the snapshot identity ('C') travels as the kind byte
   // behind the version/feature preamble.
   EXPECT_EQ(message[0], 'F');
   EXPECT_EQ(id.ToString(), "s1@7:42+snap");
 
-  extract::BatchId decoded;
-  std::string payload;
-  OPDELTA_ASSERT_OK(pipeline::DecodeBatchFrame(message, &decoded, &payload));
-  EXPECT_TRUE(decoded.snapshot);
-  EXPECT_EQ(decoded.source_id, "s1");
-  EXPECT_EQ(decoded.epoch, 7u);
-  EXPECT_EQ(decoded.seq, 42u);
-  EXPECT_EQ(payload, inner);
+  pipeline::ShippedMessage decoded;
+  OPDELTA_ASSERT_OK(pipeline::DecodeMessage(Slice(message), &decoded));
+  EXPECT_TRUE(decoded.id.snapshot);
+  EXPECT_EQ(decoded.id.source_id, "s1");
+  EXPECT_EQ(decoded.id.epoch, 7u);
+  EXPECT_EQ(decoded.id.seq, 42u);
+  ASSERT_EQ(decoded.kind, pipeline::PayloadKind::kValueDelta);
+  EXPECT_EQ(decoded.batch.table, "parts");
+  ASSERT_EQ(decoded.batch.records.size(), 1u);
+  EXPECT_EQ(decoded.batch.records[0].image, rec.image);
 
   extract::BatchId header;
-  OPDELTA_ASSERT_OK(pipeline::DecodeBatchHeader(Slice(message), &header));
+  OPDELTA_ASSERT_OK(pipeline::DecodeMessageId(Slice(message), &header));
   EXPECT_TRUE(header.snapshot);
-  EXPECT_TRUE(header == decoded);
+  EXPECT_TRUE(header == decoded.id);
 
-  // A live batch still rides the 'B' frame with the marker clear.
+  // A live batch rides the same frame with the marker clear.
   extract::BatchId live{"s1", 7, 43, /*snapshot=*/false};
   std::string live_message;
-  pipeline::EncodeBatchFrame(live, inner, &live_message);
+  pipeline::EncodeValueDeltaMessage(live, batch, &live_message);
   EXPECT_EQ(live_message[0], 'F');
-  OPDELTA_ASSERT_OK(
-      pipeline::DecodeBatchFrame(live_message, &decoded, &payload));
-  EXPECT_FALSE(decoded.snapshot);
+  OPDELTA_ASSERT_OK(pipeline::DecodeMessage(Slice(live_message), &decoded));
+  EXPECT_FALSE(decoded.id.snapshot);
   EXPECT_EQ(live.ToString(), "s1@7:43");
 }
 
@@ -190,7 +189,8 @@ struct LegFixture {
       Status st = leg->PeekShipped(&message);
       if (st.IsNotFound()) return Status::OK();
       OPDELTA_RETURN_IF_ERROR(st);
-      OPDELTA_RETURN_IF_ERROR(leg->Integrate(wh.get(), message, nullptr));
+      OPDELTA_RETURN_IF_ERROR(leg->Integrate(
+          wh.get(), nullptr, message, pipeline::ApplyContext(), nullptr));
       OPDELTA_RETURN_IF_ERROR(leg->AckShipped());
     }
   }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/coding.h"
 #include "common/random.h"
 #include "catalog/catalog.h"
 #include "catalog/row_codec.h"
@@ -266,6 +267,25 @@ TEST(CatalogTest, PersistsToFile) {
   TableId id3;
   OPDELTA_ASSERT_OK(reloaded.CreateTable("c", TestSchema(), &id3));
   EXPECT_GT(id3, id2);
+}
+
+TEST(CatalogTest, UnversionedLayoutIsCorruption) {
+  // A catalog file leads with the version sentinel (varint 0). The
+  // unversioned layout, which led with next_id, was never written by a
+  // deployed build and is refused rather than decoded.
+  std::string unversioned;
+  PutVarint32(&unversioned, 2);  // next_id
+  PutVarint32(&unversioned, 0);  // no tables
+  Catalog out;
+  EXPECT_TRUE(Catalog::DecodeFrom(Slice(unversioned), &out).IsCorruption());
+
+  // What EncodeTo writes still decodes.
+  Catalog catalog;
+  OPDELTA_ASSERT_OK(catalog.CreateTable("a", TestSchema(), nullptr));
+  std::string encoded;
+  catalog.EncodeTo(&encoded);
+  OPDELTA_ASSERT_OK(Catalog::DecodeFrom(Slice(encoded), &out));
+  ASSERT_NE(out.GetTable("a"), nullptr);
 }
 
 TEST(CatalogTest, TableNamesSorted) {

@@ -6,9 +6,9 @@
 #include <thread>
 
 #include "common/fault_env.h"
-#include "pipeline/cdc_pipeline.h"
 #include "pipeline/source_leg.h"
 #include "sql/executor.h"
+#include "warehouse/apply_ledger.h"
 #include "workload/workload.h"
 #include "tests/test_util.h"
 
@@ -222,10 +222,11 @@ TEST_F(HubIntegrationTest, FourSourcesConvergeWithOrderPreserved) {
 }
 
 TEST_F(HubIntegrationTest, SequentialPipelineBaselineMatchesHubResult) {
-  // Ground truth via the single-threaded path: a CdcPipeline over the
+  // Ground truth via the single-threaded path: one SourceLeg over the
   // same archive log (log extraction is non-destructive, so the hub and
-  // the baseline can both consume it) applied sequentially to a second
-  // warehouse must produce exactly the table the hub produced.
+  // the baseline can both consume it), drained by a serial Peek →
+  // Integrate → Ack loop into a second warehouse, must produce exactly the
+  // table the hub produced.
   Result<std::unique_ptr<DeltaHub>> hub = MakeHub(HubOptions());
   ASSERT_TRUE(hub.ok()) << hub.status().ToString();
   for (int round = 0; round < 3; ++round) {
@@ -237,16 +238,24 @@ TEST_F(HubIntegrationTest, SequentialPipelineBaselineMatchesHubResult) {
   auto baseline_wh = OpenDb(dir_, "baseline_wh", NoTimestampOptions());
   OPDELTA_ASSERT_OK(
       baseline_wh->CreateTable("parts", workload::PartsWorkload::Schema()));
+  warehouse::ApplyLedger ledger(baseline_wh.get());
+  OPDELTA_ASSERT_OK(ledger.Setup());
   pipeline::PipelineOptions popts;
   popts.method = pipeline::Method::kLog;
   popts.source_table = "parts";
   popts.warehouse_table = "parts";
-  popts.work_dir = dir_.Sub("baseline_pipeline");
-  Result<std::unique_ptr<pipeline::CdcPipeline>> baseline =
-      pipeline::CdcPipeline::Create(src_log_.get(), baseline_wh.get(), popts);
-  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-  OPDELTA_ASSERT_OK((*baseline)->Setup());
-  OPDELTA_ASSERT_OK((*baseline)->RunOnce());
+  popts.work_dir = dir_.Sub("baseline_leg");
+  Result<std::unique_ptr<pipeline::SourceLeg>> leg =
+      pipeline::SourceLeg::Create(src_log_.get(), popts);
+  ASSERT_TRUE(leg.ok()) << leg.status().ToString();
+  OPDELTA_ASSERT_OK((*leg)->Setup());
+  OPDELTA_ASSERT_OK((*leg)->ExtractAndShip());
+  std::string message;
+  while ((*leg)->PeekShipped(&message).ok()) {
+    OPDELTA_ASSERT_OK((*leg)->Integrate(baseline_wh.get(), &ledger, message,
+                                        pipeline::ApplyContext(), nullptr));
+    OPDELTA_ASSERT_OK((*leg)->AckShipped());
+  }
 
   EXPECT_TRUE(
       TablesEqual(baseline_wh.get(), "parts", wh_.get(), "parts_log"));

@@ -191,6 +191,12 @@ TEST(SchemaEpochTest, OnlineMigrationRewritesRowsAndRebuildsIndexes) {
 
 // ---------------------------------------------- transport frame compat
 
+extract::DeltaBatch OneTableBatch() {
+  extract::DeltaBatch batch;
+  batch.table = "t";
+  return batch;
+}
+
 TEST(FrameCompatTest, VersionedFrameCarriesSchemaEpoch) {
   extract::BatchId id;
   id.source_id = "s1";
@@ -198,24 +204,32 @@ TEST(FrameCompatTest, VersionedFrameCarriesSchemaEpoch) {
   id.seq = 42;
   id.schema_epoch = 3;
   std::string frame;
-  pipeline::EncodeBatchFrame(id, "payload", &frame);
+  pipeline::EncodeValueDeltaMessage(id, OneTableBatch(), &frame);
   ASSERT_FALSE(frame.empty());
   EXPECT_EQ(frame[0], 'F');
 
-  extract::BatchId out;
-  std::string body;
-  OPDELTA_ASSERT_OK(pipeline::DecodeBatchFrame(frame, &out, &body));
-  EXPECT_EQ(out.source_id, "s1");
-  EXPECT_EQ(out.epoch, 7u);
-  EXPECT_EQ(out.seq, 42u);
-  EXPECT_EQ(out.schema_epoch, 3u);
-  EXPECT_FALSE(out.snapshot);
-  EXPECT_EQ(body, "payload");
+  pipeline::ShippedMessage out;
+  OPDELTA_ASSERT_OK(pipeline::DecodeMessage(Slice(frame), &out));
+  EXPECT_EQ(out.id.source_id, "s1");
+  EXPECT_EQ(out.id.epoch, 7u);
+  EXPECT_EQ(out.id.seq, 42u);
+  EXPECT_EQ(out.id.schema_epoch, 3u);
+  EXPECT_FALSE(out.id.snapshot);
+  EXPECT_EQ(out.kind, pipeline::PayloadKind::kValueDelta);
+  EXPECT_EQ(out.batch.table, "t");
+
+  // An op-delta frame hands back its body as a view into the message.
+  std::string op_frame;
+  pipeline::EncodeOpDeltaMessage(id, {}, &op_frame);
+  OPDELTA_ASSERT_OK(pipeline::DecodeMessage(Slice(op_frame), &out));
+  EXPECT_EQ(out.kind, pipeline::PayloadKind::kOpDelta);
+  EXPECT_TRUE(out.op_body.empty());
+  EXPECT_EQ(out.id.schema_epoch, 3u);
 }
 
-std::string LegacyFrame(char tag, const std::string& source_id,
-                        uint64_t epoch, uint64_t seq,
-                        const std::string& inner) {
+std::string UnversionedFrame(char tag, const std::string& source_id,
+                             uint64_t epoch, uint64_t seq,
+                             const std::string& inner) {
   std::string frame;
   frame.push_back(tag);
   PutLengthPrefixed(&frame, Slice(source_id));
@@ -226,22 +240,29 @@ std::string LegacyFrame(char tag, const std::string& source_id,
   return frame;
 }
 
-TEST(FrameCompatTest, LegacyFramesDecodeWithSchemaEpochZero) {
-  // Frames written by a pre-epoch build ('B'/'C' tags) must keep decoding:
-  // a queue can hold them across an upgrade.
-  const std::string frame = LegacyFrame('B', "old", 2, 9, "payload");
-  extract::BatchId id;
-  std::string body;
-  OPDELTA_ASSERT_OK(pipeline::DecodeBatchFrame(frame, &id, &body));
-  EXPECT_EQ(id.source_id, "old");
-  EXPECT_EQ(id.epoch, 2u);
-  EXPECT_EQ(id.seq, 9u);
-  EXPECT_EQ(id.schema_epoch, 0u);  // 0 = decode against current schemas
-  EXPECT_EQ(body, "payload");
-
-  const std::string snapshot = LegacyFrame('C', "old", 2, 10, "rows");
-  OPDELTA_ASSERT_OK(pipeline::DecodeBatchFrame(snapshot, &id, &body));
-  EXPECT_TRUE(id.snapshot);
+TEST(FrameCompatTest, UnversionedMessagesAreRefused) {
+  // Only the versioned 'F' frame is a shipped message. The unversioned
+  // 'B'/'C' identity frames and bare 'V'/'O' payloads were never written
+  // by a deployed build; each is refused as Corruption, never decoded.
+  std::string value_payload = "V";
+  OneTableBatch().EncodeTo(&value_payload);
+  const std::vector<std::string> refused = {
+      UnversionedFrame('B', "old", 2, 9, value_payload),
+      UnversionedFrame('C', "old", 2, 10, value_payload),
+      value_payload,
+      "O",
+  };
+  for (const std::string& message : refused) {
+    pipeline::ShippedMessage out;
+    Status st = pipeline::DecodeMessage(Slice(message), &out);
+    EXPECT_TRUE(st.IsCorruption()) << message[0] << ": " << st.ToString();
+    EXPECT_NE(st.ToString().find("unknown pipeline message"),
+              std::string::npos)
+        << st.ToString();
+    extract::BatchId id;
+    EXPECT_TRUE(pipeline::DecodeMessageId(Slice(message), &id).IsCorruption());
+    EXPECT_FALSE(id.valid());
+  }
 }
 
 TEST(FrameCompatTest, UnknownVersionFeatureAndKindFailLoud) {
@@ -249,14 +270,13 @@ TEST(FrameCompatTest, UnknownVersionFeatureAndKindFailLoud) {
   id.source_id = "s";
   id.seq = 1;
   std::string frame;
-  pipeline::EncodeBatchFrame(id, "x", &frame);
+  pipeline::EncodeValueDeltaMessage(id, OneTableBatch(), &frame);
 
   // Future frame version: refuse with the version named.
   std::string bad_version = frame;
   bad_version[1] = 9;
-  extract::BatchId out;
-  std::string body;
-  Status st = pipeline::DecodeBatchFrame(bad_version, &out, &body);
+  pipeline::ShippedMessage out;
+  Status st = pipeline::DecodeMessage(Slice(bad_version), &out);
   EXPECT_EQ(st.code(), StatusCode::kSchemaMismatch);
   EXPECT_NE(st.ToString().find("version"), std::string::npos)
       << st.ToString();
@@ -264,14 +284,14 @@ TEST(FrameCompatTest, UnknownVersionFeatureAndKindFailLoud) {
   // Unknown feature bit: refuse with the bit named in hex.
   std::string bad_features = frame;
   bad_features[2] = 1;  // low byte of the fixed32 feature mask
-  st = pipeline::DecodeBatchFrame(bad_features, &out, &body);
+  st = pipeline::DecodeMessage(Slice(bad_features), &out);
   EXPECT_EQ(st.code(), StatusCode::kSchemaMismatch);
   EXPECT_NE(st.ToString().find("0x"), std::string::npos) << st.ToString();
 
   // Unknown section/kind tag inside the versioned preamble.
   std::string bad_kind = frame;
   bad_kind[6] = 'Z';
-  st = pipeline::DecodeBatchFrame(bad_kind, &out, &body);
+  st = pipeline::DecodeMessage(Slice(bad_kind), &out);
   EXPECT_EQ(st.code(), StatusCode::kSchemaMismatch);
   EXPECT_NE(st.ToString().find("kind"), std::string::npos) << st.ToString();
 }
@@ -298,11 +318,13 @@ TEST(SchemaMapCacheTest, SharedSnapshotInvalidatedByDdl) {
   EXPECT_EQ(a->at("parts").num_columns(), 4u);  // old snapshot unchanged
   EXPECT_EQ(c->at("parts").num_columns(), 5u);
 
-  // SchemaMapAt: epoch 0 and the current epoch resolve to the live cache;
-  // the prior epoch resolves through the history.
-  Result<std::shared_ptr<const catalog::SchemaMap>> at0 = db->SchemaMapAt(0);
-  ASSERT_TRUE(at0.ok());
-  EXPECT_EQ(at0->get(), c.get());
+  // SchemaMapAt: the current epoch resolves to the live cache; the prior
+  // epoch resolves through the history; epoch 0 (the catalog starts at 1)
+  // is refused rather than read as "current".
+  Result<std::shared_ptr<const catalog::SchemaMap>> at2 = db->SchemaMapAt(2);
+  ASSERT_TRUE(at2.ok());
+  EXPECT_EQ(at2->get(), c.get());
+  EXPECT_EQ(db->SchemaMapAt(0).status().code(), StatusCode::kSchemaMismatch);
   Result<std::shared_ptr<const catalog::SchemaMap>> at1 = db->SchemaMapAt(1);
   ASSERT_TRUE(at1.ok());
   EXPECT_EQ((*at1)->at("parts").num_columns(), 4u);

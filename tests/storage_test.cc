@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <memory>
 #include <set>
 
+#include "common/env.h"
 #include "common/random.h"
+#include "engine/database.h"
 #include "storage/buffer_pool.h"
 #include "storage/file_manager.h"
 #include "storage/heap_file.h"
@@ -480,6 +485,45 @@ TEST_F(HeapFileTest, RandomizedAgainstModel) {
     OPDELTA_ASSERT_OK(heap_->Read(entry.first, &out));
     EXPECT_EQ(out, entry.second);
   }
+}
+
+// ------------------------------------------------------ buffer-pool arena
+
+/// Resident set size of this process in bytes, from /proc/self/statm.
+/// 0 when it cannot be read.
+uint64_t ResidentBytes() {
+  // procfs reports size 0, so read a fixed-size prefix, not the "file".
+  std::unique_ptr<RandomAccessFile> file;
+  if (!Env::Default()->NewRandomAccessFile("/proc/self/statm", &file).ok()) {
+    return 0;
+  }
+  char buf[128] = {};
+  Slice line;
+  if (!file->Read(0, sizeof(buf) - 1, &line, buf).ok()) return 0;
+  // "size resident shared ..." in pages.
+  const std::string text = line.ToString();
+  char* next = nullptr;
+  (void)std::strtoull(text.c_str(), &next, 10);
+  const uint64_t resident_pages = std::strtoull(next, nullptr, 10);
+  return resident_pages * static_cast<uint64_t>(sysconf(_SC_PAGESIZE));
+}
+
+TEST(BufferPoolArenaTest, OpeningTablesLeavesTheirArenasUntouched) {
+  // Every table reserves a 1,024-frame (8 MB) pool arena, but only the
+  // frames its pages land in may become resident: eight fresh tables must
+  // not pin 64 MB of zeroed frames.
+  TempDir dir;
+  std::unique_ptr<engine::Database> db = opdelta::testing::OpenDb(dir, "db");
+  ASSERT_NE(db, nullptr);
+  const catalog::Schema schema(
+      {catalog::Column{"id", catalog::ValueType::kInt64}});
+  const uint64_t before = ResidentBytes();
+  ASSERT_GT(before, 0u);
+  for (int i = 0; i < 8; ++i) {
+    OPDELTA_ASSERT_OK(db->CreateTable("t" + std::to_string(i), schema));
+  }
+  const uint64_t grown = ResidentBytes() - before;
+  EXPECT_LT(grown, uint64_t{16} << 20) << "RSS grew by " << grown << " bytes";
 }
 
 }  // namespace

@@ -630,15 +630,20 @@ TEST_F(ApplyLedgerTest, CompactPrunesSupersededRowsOnly) {
   EXPECT_EQ(removed, 0u);
 }
 
-TEST_F(ApplyLedgerTest, InvalidIdentityBypassesDeduplication) {
-  extract::BatchId anon;  // legacy frame: no identity stamped
-  ASSERT_FALSE(anon.valid());
-  EXPECT_EQ(Admit(anon, 1).decision, Decision::kFresh);
-  OPDELTA_ASSERT_OK(Apply(anon, 1));
-  // No watermark row is written for identity-less batches...
+TEST_F(ApplyLedgerTest, InvalidIdentityIsRejected) {
+  // Every shipped batch carries a stamped identity, so an unstamped one is
+  // a caller bug: the ledger refuses it instead of admitting it as fresh.
+  for (const extract::BatchId& anon :
+       {extract::BatchId(), Bid("", 1, 1), Bid("s1", 0, 1), Bid("s1", 1, 0)}) {
+    ASSERT_FALSE(anon.valid());
+    Result<ApplyLedger::Admission> a = ledger_->Admit(anon, 1);
+    EXPECT_EQ(a.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(Apply(anon, 1).code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(ledger_->RecordSkip(anon).code(),
+              StatusCode::kInvalidArgument);
+  }
+  // Nothing was recorded.
   EXPECT_EQ(CountRows(wh_.get(), ledger_->table()), 0u);
-  // ...so a redelivery is (by design) applied again.
-  EXPECT_EQ(Admit(anon, 1).decision, Decision::kFresh);
 }
 
 }  // namespace
