@@ -10,7 +10,7 @@
 #include <cstdio>
 #include <string>
 
-#include "backfill/backfiller.h"
+#include "backfill/chunk_window.h"
 #include "bench/harness.h"
 #include "pipeline/source_leg.h"
 #include "scrub/scrubber.h"
@@ -52,7 +52,7 @@ ScrubResult RunScrub(const ScratchDir& dir, const std::string& tag,
   BENCH_OK(wh_wl.Populate(wh.get(), "parts", rows));
   // Op-delta windows ship their watermark rows down the stream; the
   // warehouse needs the signal table to apply them.
-  BENCH_OK(backfill::Backfiller::EnsureSignalTable(wh.get()));
+  BENCH_OK(backfill::ChunkWindow::EnsureSignalTable(wh.get()));
 
   pipeline::PipelineOptions po;
   po.method = pipeline::Method::kOpDelta;
@@ -82,12 +82,10 @@ ScrubResult RunScrub(const ScratchDir& dir, const std::string& tag,
     }
   };
 
-  scrub::ScrubOptions sc_options;
-  sc_options.chunk_rows = chunk_rows;
   std::unique_ptr<scrub::Scrubber> scrubber;
   {
-    Result<std::unique_ptr<scrub::Scrubber>> made =
-        scrub::Scrubber::Create(leg.get(), wh.get(), drain, sc_options);
+    Result<std::unique_ptr<scrub::Scrubber>> made = scrub::Scrubber::Create(
+        leg.get(), wh.get(), drain, chunk_rows, /*repair=*/true);
     BENCH_OK(made.status());
     scrubber = std::move(*made);
   }

@@ -6,71 +6,45 @@
 
 namespace opdelta::backfill {
 
-using catalog::ValueType;
-
-constexpr char BackfillOptions::kDefaultSignalTable[];
-
-catalog::Schema Backfiller::SignalTableSchema() {
-  return ChunkWindow::SignalTableSchema();
-}
-
-Status Backfiller::EnsureSignalTable(engine::Database* db,
-                                     const std::string& table) {
-  return ChunkWindow::EnsureSignalTable(db, table);
-}
-
-Backfiller::Backfiller(pipeline::SourceLeg* leg, BackfillOptions options)
+Backfiller::Backfiller(pipeline::SourceLeg* leg, uint64_t chunk_rows)
     : leg_(leg),
       source_(leg->source()),
-      options_(std::move(options)),
+      chunk_rows_(chunk_rows),
       table_(leg->options().source_table),
-      window_(leg,
-              ChunkWindow::Options{options_.signal_table, "low", "high",
-                                   options_.max_window_drains}),
-      ledger_(leg->source(), options_.ledger_table) {}
+      window_(leg),
+      ledger_(leg->source(), table_, "backfill") {}
 
 Result<std::unique_ptr<Backfiller>> Backfiller::Create(
-    pipeline::SourceLeg* leg, BackfillOptions options) {
+    pipeline::SourceLeg* leg, uint64_t chunk_rows) {
   if (leg == nullptr) return Status::InvalidArgument("source leg required");
-  if (options.chunk_rows == 0) {
+  if (chunk_rows == 0) {
     return Status::InvalidArgument("chunk_rows must be positive");
   }
-  engine::Table* table = leg->source()->GetTable(leg->options().source_table);
-  if (table == nullptr) {
-    return Status::NotFound("source table " + leg->options().source_table);
-  }
-  const catalog::Schema& schema = table->schema();
-  const int key = schema.KeyColumnIndex();
-  if (key < 0 ||
-      schema.column(static_cast<size_t>(key)).type != ValueType::kInt64) {
-    return Status::NotSupported(
-        "backfill requires an INT64 key column (first column)");
-  }
-  return std::unique_ptr<Backfiller>(new Backfiller(leg, std::move(options)));
+  OPDELTA_RETURN_IF_ERROR(ChunkWindow::CheckTable(leg));
+  return std::unique_ptr<Backfiller>(new Backfiller(leg, chunk_rows));
+}
+
+void Backfiller::LoadStats(uint64_t count) {
+  stats_.chunks_done = ledger_.chunks();
+  stats_.rows_backfilled = ledger_.rows();
+  stats_.done = ledger_.passes_done() != 0;
+  // chunks_total is a progress estimate from the current row count; the
+  // final chunk makes it exact.
+  const uint64_t remaining =
+      count > stats_.rows_backfilled ? count - stats_.rows_backfilled : 0;
+  stats_.chunks_total =
+      stats_.done ? stats_.chunks_done
+                  : stats_.chunks_done +
+                        (remaining + chunk_rows_ - 1) / chunk_rows_;
 }
 
 Status Backfiller::Setup() {
   if (setup_done_) return Status::OK();
-  OPDELTA_RETURN_IF_ERROR(EnsureSignalTable(source_, options_.signal_table));
+  OPDELTA_RETURN_IF_ERROR(window_.Setup());
   OPDELTA_RETURN_IF_ERROR(ledger_.Setup());
-  OPDELTA_ASSIGN_OR_RETURN(ChunkLedger::Progress progress,
-                           ledger_.Get(table_));
-  stats_ = BackfillStats();
-  stats_.chunks_done = progress.chunks_done;
-  stats_.rows_backfilled = progress.rows_shipped;
-  stats_.done = progress.done;
-  have_cursor_ = progress.exists && !progress.done;
-  cursor_ = progress.cursor;
-  // chunks_total is a progress estimate from the current row count; the
-  // final chunk makes it exact.
   OPDELTA_ASSIGN_OR_RETURN(uint64_t count, source_->CountRows(table_));
-  const uint64_t remaining =
-      count > progress.rows_shipped ? count - progress.rows_shipped : 0;
-  stats_.chunks_total =
-      stats_.done ? stats_.chunks_done
-                  : stats_.chunks_done +
-                        (remaining + options_.chunk_rows - 1) /
-                            options_.chunk_rows;
+  stats_ = BackfillStats();
+  LoadStats(count);
   setup_done_ = true;
   return Status::OK();
 }
@@ -80,17 +54,13 @@ Status Backfiller::Step(bool* done) {
   if (!setup_done_) return Status::Internal("call Setup() first");
   if (stats_.done) return Status::OK();
 
-  const uint64_t chunk_no = stats_.chunks_done + 1;
   const uint64_t ddl_epoch_at_open = source_->ddl_epoch();
-  OPDELTA_RETURN_IF_ERROR(window_.Open(chunk_no));
   std::vector<WindowRow> rows;
   bool more = false;
-  OPDELTA_RETURN_IF_ERROR(window_.ReadRange(
-      have_cursor_ ? std::optional<int64_t>(cursor_) : std::nullopt,
-      std::nullopt, options_.chunk_rows, &rows, &more));
+  OPDELTA_RETURN_IF_ERROR(window_.ReadRange(ledger_.cursor(), std::nullopt,
+                                            chunk_rows_, &rows, &more));
   ChunkWindow::CloseOutcome outcome;
-  OPDELTA_RETURN_IF_ERROR(window_.Close(chunk_no,
-                                        ChunkWindow::CloseMode::kRepair,
+  OPDELTA_RETURN_IF_ERROR(window_.Close(ChunkWindow::CloseMode::kRepair,
                                         /*collect=*/false, std::nullopt,
                                         std::nullopt, &rows, &outcome));
   stats_.rows_deduped += outcome.rows_deduped;
@@ -100,22 +70,13 @@ Status Backfiller::Step(bool* done) {
     // cursor where it is and re-run the chunk next round under the settled
     // schema — the same inconclusive-and-retry discipline the scrubber
     // uses.
-    OPDELTA_LOG(kInfo) << "backfill chunk " << chunk_no << " of " << table_
+    OPDELTA_LOG(kInfo) << "backfill chunk " << stats_.chunks_done + 1
+                       << " of " << table_
                        << " straddled a schema change; retrying";
     return Status::OK();
   }
 
-  extract::DeltaBatch chunk;
-  chunk.table = table_;
-  chunk.schema = window_.schema();
-  for (WindowRow& r : rows) {
-    if (!r.present) continue;
-    extract::DeltaRecord rec;
-    rec.op = extract::DeltaOp::kUpsert;
-    rec.seq = chunk.records.size() + 1;
-    rec.image = std::move(r.image);
-    chunk.records.push_back(std::move(rec));
-  }
+  const extract::DeltaBatch chunk = window_.UpsertBatch(&rows);
   if (!chunk.records.empty()) {
     OPDELTA_RETURN_IF_ERROR(leg_->ShipSnapshot(chunk));
   }
@@ -123,31 +84,19 @@ Status Backfiller::Step(bool* done) {
   // A crash between the durable ship above and the ledger append below
   // re-runs this chunk under a fresh identity; the warehouse absorbs the
   // duplicate upserts idempotently.
-  stats_.chunks_done = chunk_no;
-  stats_.rows_backfilled += chunk.records.size();
+  if (more) {
+    OPDELTA_RETURN_IF_ERROR(
+        ledger_.Advance(rows.back().key, chunk.records.size()));
+  } else {
+    OPDELTA_RETURN_IF_ERROR(ledger_.FinishPass(chunk.records.size()));
+  }
+  stats_.chunks_done = ledger_.chunks();
+  stats_.rows_backfilled = ledger_.rows();
   if (stats_.chunks_total < stats_.chunks_done) {
     stats_.chunks_total = stats_.chunks_done;
   }
-  if (!rows.empty()) {
-    have_cursor_ = true;
-    cursor_ = rows.back().key;
-  }
-  if (more) {
-    OPDELTA_RETURN_IF_ERROR(
-        ledger_.Advance(table_, chunk_no, cursor_, stats_.rows_backfilled));
-    if (options_.ledger_compact_every != 0 &&
-        chunk_no % options_.ledger_compact_every == 0) {
-      Status st = ledger_.Compact();
-      if (!st.ok()) {
-        OPDELTA_LOG(kWarn) << "chunk-ledger compaction failed: "
-                           << st.ToString();
-      }
-    }
-    return Status::OK();
-  }
+  if (more) return Status::OK();
 
-  OPDELTA_RETURN_IF_ERROR(
-      ledger_.MarkDone(table_, chunk_no, stats_.rows_backfilled));
   stats_.done = true;
   stats_.chunks_total = stats_.chunks_done;
   if (done != nullptr) *done = true;
@@ -161,13 +110,10 @@ Status Backfiller::Step(bool* done) {
 
 Status Backfiller::Restart() {
   if (!setup_done_) return Status::Internal("call Setup() first");
-  OPDELTA_RETURN_IF_ERROR(ledger_.Reset(table_));
-  have_cursor_ = false;
-  cursor_ = 0;
-  stats_ = BackfillStats();
+  OPDELTA_RETURN_IF_ERROR(ledger_.Reset());
   OPDELTA_ASSIGN_OR_RETURN(uint64_t count, source_->CountRows(table_));
-  stats_.chunks_total =
-      (count + options_.chunk_rows - 1) / options_.chunk_rows;
+  stats_ = BackfillStats();
+  LoadStats(count);
   OPDELTA_LOG(kInfo) << "backfill of " << table_
                      << " restarted after schema migration ("
                      << stats_.chunks_total << " chunks estimated)";

@@ -5,35 +5,13 @@
 #include <string>
 #include <vector>
 
-#include "backfill/chunk_ledger.h"
 #include "backfill/chunk_window.h"
+#include "backfill/cursor_ledger.h"
 #include "common/status.h"
 #include "engine/database.h"
 #include "pipeline/source_leg.h"
 
 namespace opdelta::backfill {
-
-struct BackfillOptions {
-  /// Rows per snapshot chunk (one Step ships one chunk).
-  uint64_t chunk_rows = 256;
-
-  /// Watermark-signal table, created in the source database by Setup. For
-  /// op-delta sources the signal inserts ride the captured stream, so the
-  /// warehouse needs the same table (EnsureSignalTable) to replay them.
-  std::string signal_table = kDefaultSignalTable;
-
-  /// ChunkLedger table in the source database.
-  std::string ledger_table = ChunkLedger::kDefaultTable;
-
-  /// Compact the chunk ledger every N chunks. 0 disables.
-  uint64_t ledger_compact_every = 32;
-
-  /// Bound on watermark-window drain/repair rounds per chunk under
-  /// sustained concurrent writes (see Backfiller class comment).
-  int max_window_drains = 8;
-
-  static constexpr char kDefaultSignalTable[] = "__backfill_signal";
-};
 
 struct BackfillStats {
   uint64_t chunks_done = 0;
@@ -48,16 +26,16 @@ struct BackfillStats {
 /// table lock, no capture outage. Each Step() ships one chunk through a
 /// watermark-bracketed window (see ChunkWindow, the shared primitive):
 ///
-///   1. open the window (low-watermark signal row);
-///   2. select the next chunk_rows committed row images above the cursor;
-///   3. close the window in repair mode: drain capture through the leg
-///      until the high watermark ships — everything shipped here reaches
-///      the warehouse before the chunk — and re-read rows the in-window
-///      delta touched ("the delta wins");
-///   4. ship the chunk as a snapshot-marked batch ('C' frame) through the
+///   1. select the next chunk_rows committed row images above the cursor;
+///   2. close the window in repair mode: drain capture through the leg
+///      until the window closes — everything shipped here reaches the
+///      warehouse before the chunk — and re-read rows the in-window delta
+///      touched ("the delta wins");
+///   3. ship the chunk as a snapshot-marked batch ('C' frame) through the
 ///      leg's durable queue, stamped from the same (epoch, seq) sequence
 ///      as live batches, applied idempotently as net-change upserts;
-///   5. advance the ChunkLedger cursor (MarkDone on the last chunk).
+///   4. advance the durable cursor (the `backfill` walk of the source's
+///      CursorLedger); the last chunk finishes the walk's one pass.
 ///
 /// Crash anywhere re-runs the current chunk from the durable cursor; the
 /// warehouse absorbs the re-shipped chunk idempotently.
@@ -69,55 +47,43 @@ class Backfiller {
  public:
   /// `leg` must outlive the backfiller and already be Created for the
   /// table to backfill; the source table's key column (first column, by
-  /// convention) must be INT64.
+  /// convention) must be INT64. `chunk_rows` rows ship per Step.
   static Result<std::unique_ptr<Backfiller>> Create(pipeline::SourceLeg* leg,
-                                                    BackfillOptions options);
+                                                    uint64_t chunk_rows);
 
-  /// (sig INT64, kind STRING, tbl STRING) — no timestamp column, so the
-  /// engine's auto-stamping never rewrites a signal row.
-  static catalog::Schema SignalTableSchema();
-
-  /// Creates the signal table if missing. Idempotent. Call on the
-  /// warehouse too when backfilling an op-delta source (the captured
-  /// signal inserts replay there).
-  static Status EnsureSignalTable(
-      engine::Database* db,
-      const std::string& table = BackfillOptions::kDefaultSignalTable);
-
-  /// Creates signal + ledger tables, loads the durable cursor. Call after
-  /// the leg's Setup. Idempotent.
+  /// Creates the signal (op-delta) and ledger tables, loads the durable
+  /// cursor. Call after the leg's Setup. Idempotent.
   Status Setup();
 
-  /// Ships the next chunk (steps 1-5 above). No-op once done. `*done`
+  /// Ships the next chunk (steps 1-4 above). No-op once done. `*done`
   /// reports completion. Safe to retry after an error: the chunk re-runs
   /// from the durable cursor.
   Status Step(bool* done = nullptr);
 
-  /// Restarts the backfill from the beginning: resets the durable ledger
-  /// and the in-memory cursor so the table re-ships chunk by chunk. The hub
-  /// calls this after applying a source schema migration to the warehouse —
-  /// added columns hold their defaults there until the re-shipped snapshot
-  /// chunks carry the live values over. Idempotent with respect to crashes:
-  /// the ledger reset is one transaction, and a re-run before any new
-  /// cursor row simply starts from scratch again.
+  /// Restarts the backfill from the beginning: resets the durable cursor
+  /// so the table re-ships chunk by chunk. The hub calls this after
+  /// applying a source schema migration to the warehouse — added columns
+  /// hold their defaults there until the re-shipped snapshot chunks carry
+  /// the live values over. Idempotent with respect to crashes: the ledger
+  /// reset is one transaction, and a re-run before any new cursor row
+  /// simply starts from scratch again.
   Status Restart();
 
   const BackfillStats& stats() const { return stats_; }
-  const BackfillOptions& options() const { return options_; }
 
  private:
-  Backfiller(pipeline::SourceLeg* leg, BackfillOptions options);
+  Backfiller(pipeline::SourceLeg* leg, uint64_t chunk_rows);
+
+  /// Refreshes stats_ from the ledger; `count` is the table's row count.
+  void LoadStats(uint64_t count);
 
   pipeline::SourceLeg* leg_;
   engine::Database* source_;
-  BackfillOptions options_;
+  uint64_t chunk_rows_;
   std::string table_;       // source table being backfilled
   ChunkWindow window_;
-  ChunkLedger ledger_;
+  CursorLedger ledger_;
   bool setup_done_ = false;
-
-  bool have_cursor_ = false;
-  int64_t cursor_ = 0;      // last shipped key; next chunk selects above it
   BackfillStats stats_;
 };
 

@@ -1,10 +1,12 @@
 #include "backfill/chunk_window.h"
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <set>
 #include <utility>
 
+#include "common/clock.h"
 #include "sql/parser.h"
 
 namespace opdelta::backfill {
@@ -12,74 +14,94 @@ namespace opdelta::backfill {
 using catalog::Value;
 using catalog::ValueType;
 
-catalog::Schema ChunkWindow::SignalTableSchema() {
+namespace {
+
+constexpr char kHighKind[] = "high";
+
+// Bound on drain/repair rounds per window under sustained writes.
+constexpr int kMaxDrains = 8;
+
+// (sig INT64, kind STRING, tbl STRING) — no timestamp column, so the
+// engine's auto-stamping never rewrites a signal row.
+catalog::Schema SignalTableSchema() {
   return catalog::Schema({catalog::Column{"sig", ValueType::kInt64},
                           catalog::Column{"kind", ValueType::kString},
                           catalog::Column{"tbl", ValueType::kString}});
 }
 
-Status ChunkWindow::EnsureSignalTable(engine::Database* db,
-                                      const std::string& table) {
-  if (db->GetTable(table) != nullptr) return Status::OK();
-  Status st = db->CreateTable(table, SignalTableSchema());
+}  // namespace
+
+constexpr char ChunkWindow::kSignalTable[];
+
+Status ChunkWindow::CheckTable(pipeline::SourceLeg* leg) {
+  const std::string& name = leg->options().source_table;
+  engine::Table* table = leg->source()->GetTable(name);
+  if (table == nullptr) return Status::NotFound("source table " + name);
+  const catalog::Schema& schema = table->schema();
+  const int key = schema.KeyColumnIndex();
+  if (key < 0 ||
+      schema.column(static_cast<size_t>(key)).type != ValueType::kInt64) {
+    return Status::NotSupported(
+        "chunk walks require an INT64 key column (first column)");
+  }
+  return Status::OK();
+}
+
+Status ChunkWindow::EnsureSignalTable(engine::Database* db) {
+  if (db->GetTable(kSignalTable) != nullptr) return Status::OK();
+  Status st = db->CreateTable(kSignalTable, SignalTableSchema());
   if (st.code() == StatusCode::kAlreadyExists) return Status::OK();
   return st;
 }
 
-ChunkWindow::ChunkWindow(pipeline::SourceLeg* leg, Options options)
+ChunkWindow::ChunkWindow(pipeline::SourceLeg* leg)
     : leg_(leg),
       source_(leg->source()),
-      options_(std::move(options)),
       table_(leg->options().source_table) {
   engine::Table* table = source_->GetTable(table_);
   schema_ = table->schema();
   key_col_ = schema_.KeyColumnIndex();
 }
 
-Status ChunkWindow::WriteSignal(uint64_t id, const std::string& kind) {
+Status ChunkWindow::Setup() {
+  if (leg_->capture() == nullptr) return Status::OK();
+  return EnsureSignalTable(source_);
+}
+
+uint64_t ChunkWindow::NextWindowId() {
+  // Wall-clock micros order ids across process restarts; the max() keeps
+  // them strictly increasing within the process even if the clock stalls
+  // or two windows open in the same microsecond.
+  static std::atomic<uint64_t> last{0};
+  const uint64_t now =
+      static_cast<uint64_t>(RealClock::Default()->NowMicros());
+  uint64_t prev = last.load();
+  uint64_t id = 0;
+  do {
+    id = std::max(now, prev + 1);
+  } while (!last.compare_exchange_weak(prev, id));
+  return id;
+}
+
+Status ChunkWindow::WriteHighSignal(uint64_t id) {
+  // The signal insert rides the captured stream, so its position in the
+  // op log *is* the watermark.
   catalog::Row row(3);
   row[0] = Value::Int64(static_cast<int64_t>(id));
-  row[1] = Value::String(kind);
+  row[1] = Value::String(kHighKind);
   row[2] = Value::String(table_);
-  if (leg_->capture() != nullptr) {
-    // Op-delta: the signal insert rides the captured stream, so its
-    // position in the op log *is* the watermark.
-    sql::InsertStmt ins;
-    ins.table = options_.signal_table;
-    ins.rows.push_back(std::move(row));
-    return leg_->capture()
-        ->RunTransaction({sql::Statement(std::move(ins))})
-        .status();
-  }
-  // Value-delta methods watermark implicitly (anything committed before
-  // the window-closing drain is captured); the row is kept for operators
-  // debugging a window, not for correctness.
-  return source_->WithTransaction([&](txn::Transaction* txn) {
-    return source_->InsertRaw(txn, options_.signal_table, std::move(row));
-  });
+  sql::InsertStmt ins;
+  ins.table = kSignalTable;
+  ins.rows.push_back(std::move(row));
+  return leg_->capture()
+      ->RunTransaction({sql::Statement(std::move(ins))})
+      .status();
 }
 
-Status ChunkWindow::Open(uint64_t id) {
-  // Re-resolve the table schema per window: source DDL between windows
-  // changes row arity, and a chunk selected under a stale schema would
-  // ship (backfill) or compare (scrub) the wrong shape.
-  engine::Table* table = source_->GetTable(table_);
-  if (table == nullptr) return Status::NotFound("table " + table_);
-  schema_ = table->schema();
-  key_col_ = schema_.KeyColumnIndex();
-  return WriteSignal(id, options_.low_kind);
-}
-
-Status ChunkWindow::ReadRange(std::optional<int64_t> lo,
-                              std::optional<int64_t> hi, uint64_t limit,
-                              std::vector<WindowRow>* rows, bool* more) {
-  rows->clear();
-  *more = false;
+engine::Predicate ChunkWindow::KeyRange(std::optional<int64_t> lo,
+                                        std::optional<int64_t> hi) const {
   const std::string& key_name =
       schema_.column(static_cast<size_t>(key_col_)).name;
-
-  // Pass 1 — candidates: the `limit`+1 smallest in-range keys, from a
-  // latch-only scan (dirty reads possible; resolved in pass 2).
   engine::Predicate pred = engine::Predicate::True();
   if (lo.has_value()) {
     pred = engine::Predicate::Where(key_name, engine::CompareOp::kGt,
@@ -91,6 +113,41 @@ Status ChunkWindow::ReadRange(std::optional<int64_t> lo,
     pred = engine::Predicate::Where(key_name, engine::CompareOp::kLe,
                                     Value::Int64(*hi));
   }
+  return pred;
+}
+
+extract::DeltaBatch ChunkWindow::UpsertBatch(
+    std::vector<WindowRow>* rows) const {
+  extract::DeltaBatch batch;
+  batch.table = table_;
+  batch.schema = schema_;
+  for (WindowRow& r : *rows) {
+    if (!r.present) continue;
+    extract::DeltaRecord rec;
+    rec.op = extract::DeltaOp::kUpsert;
+    rec.seq = batch.records.size() + 1;
+    rec.image = std::move(r.image);
+    batch.records.push_back(std::move(rec));
+  }
+  return batch;
+}
+
+Status ChunkWindow::ReadRange(std::optional<int64_t> lo,
+                              std::optional<int64_t> hi, uint64_t limit,
+                              std::vector<WindowRow>* rows, bool* more) {
+  rows->clear();
+  *more = false;
+  // Re-resolve the table schema per window: source DDL between windows
+  // changes row arity, and a chunk selected under a stale schema would
+  // ship (backfill) or compare (scrub) the wrong shape.
+  engine::Table* table = source_->GetTable(table_);
+  if (table == nullptr) return Status::NotFound("table " + table_);
+  schema_ = table->schema();
+  key_col_ = schema_.KeyColumnIndex();
+
+  // Pass 1 — candidates: the `limit`+1 smallest in-range keys, from a
+  // latch-only scan (dirty reads possible; resolved in pass 2).
+  const engine::Predicate pred = KeyRange(lo, hi);
   std::map<int64_t, storage::Rid> candidates;
   bool truncated = false;
   const size_t cap =
@@ -158,8 +215,7 @@ Status ChunkWindow::InspectShipped(const std::string& message, uint64_t id,
                                    std::optional<int64_t> collect_lo,
                                    std::optional<int64_t> collect_hi,
                                    std::vector<WindowRow>* rows,
-                                   bool* saw_low, bool* saw_high,
-                                   bool* touched) {
+                                   bool* saw_high, bool* touched) {
   pipeline::ShippedMessage shipped;
   OPDELTA_RETURN_IF_ERROR(pipeline::DecodeMessage(Slice(message), &shipped));
   const uint64_t schema_epoch = shipped.id.schema_epoch;
@@ -228,15 +284,13 @@ Status ChunkWindow::InspectShipped(const std::string& message, uint64_t id,
           stmt_cache_.Parse(op.sql, schema_epoch));
       if (stmt.is_insert()) {
         const sql::InsertStmt& ins = stmt.insert();
-        if (ins.table == options_.signal_table) {
+        if (ins.table == kSignalTable) {
           for (const catalog::Row& row : ins.rows) {
             if (row.size() >= 3 && row[0].type() == ValueType::kInt64 &&
                 static_cast<uint64_t>(row[0].AsInt64()) == id &&
-                row[1].type() == ValueType::kString &&
                 row[2].type() == ValueType::kString &&
                 row[2].AsString() == table_) {
-              if (row[1].AsString() == options_.low_kind) *saw_low = true;
-              if (row[1].AsString() == options_.high_kind) *saw_high = true;
+              *saw_high = true;
             }
           }
           continue;
@@ -244,9 +298,9 @@ Status ChunkWindow::InspectShipped(const std::string& message, uint64_t id,
         if (ins.table != table_) continue;
         if (mode == CloseMode::kDetect) {
           // Conservative: any drained event on the table marks the window
-          // touched. Op-log position cannot order events against the low
-          // marker (log rows are written at statement time, so a long
-          // transaction's events can sit *before* the marker yet commit
+          // touched. Op-log position cannot order events against the
+          // chunk read (log rows are written at statement time, so a long
+          // transaction's events can sit *before* the read yet commit
           // inside the window); assuming otherwise risks a false verdict.
           *touched = true;
           continue;
@@ -361,32 +415,29 @@ Status ChunkWindow::RepairRows(std::vector<WindowRow>* rows,
   return st;
 }
 
-Status ChunkWindow::Close(uint64_t id, CloseMode mode, bool collect,
+Status ChunkWindow::Close(CloseMode mode, bool collect,
                           std::optional<int64_t> collect_lo,
                           std::optional<int64_t> collect_hi,
                           std::vector<WindowRow>* rows,
                           CloseOutcome* outcome) {
   *outcome = CloseOutcome();
-  OPDELTA_RETURN_IF_ERROR(WriteSignal(id, options_.high_kind));
-
   const bool op_delta = leg_->capture() != nullptr;
-  bool saw_low = false;
+  const uint64_t id = NextWindowId();
+  if (op_delta) OPDELTA_RETURN_IF_ERROR(WriteHighSignal(id));
+
   bool saw_high = false;
-  const int max_drains = std::max(1, options_.max_window_drains);
-  for (int drain = 0; drain < max_drains; ++drain) {
+  for (int drain = 0; drain < kMaxDrains; ++drain) {
     bool shipped = false;
     std::string message;
     OPDELTA_RETURN_IF_ERROR(leg_->ExtractAndShip(&shipped, &message));
     if (shipped) {
       OPDELTA_RETURN_IF_ERROR(InspectShipped(message, id, mode, collect,
                                              collect_lo, collect_hi, rows,
-                                             &saw_low, &saw_high,
-                                             &outcome->touched));
+                                             &saw_high, &outcome->touched));
     }
     // Op-delta: the high watermark is itself a committed captured insert,
     // so the window stays open until a drained batch carries it.
-    // Value-delta: signals don't ride the stream; the window closes when
-    // extraction runs dry.
+    // Value-delta: the window closes when extraction runs dry.
     const bool closed = op_delta ? saw_high : !shipped;
     if (!closed) {
       if (op_delta && !shipped) {
@@ -424,38 +475,18 @@ Status ChunkWindow::Close(uint64_t id, CloseMode mode, bool collect,
 }
 
 Status ChunkWindow::CleanupSignals() {
-  // Two statements, one per signal kind, so concurrent users of the shared
-  // signal table (backfill vs scrub, distinguished by kind) never delete
-  // each other's in-flight markers.
-  const auto kind_pred = [&](const std::string& kind) {
-    return engine::Predicate::Where("tbl", engine::CompareOp::kEq,
-                                    Value::String(table_))
-        .And("kind", engine::CompareOp::kEq, Value::String(kind));
-  };
-  if (leg_->capture() != nullptr) {
-    // Captured: the deletes replay at the warehouse, cleaning its copy.
-    sql::DeleteStmt del_low;
-    del_low.table = options_.signal_table;
-    del_low.where = kind_pred(options_.low_kind);
-    sql::DeleteStmt del_high;
-    del_high.table = options_.signal_table;
-    del_high.where = kind_pred(options_.high_kind);
-    return leg_->capture()
-        ->RunTransaction({sql::Statement(std::move(del_low)),
-                          sql::Statement(std::move(del_high))})
-        .status();
-  }
-  return source_->WithTransaction([&](txn::Transaction* txn) {
-    OPDELTA_RETURN_IF_ERROR(
-        source_
-            ->DeleteWhere(txn, options_.signal_table,
-                          kind_pred(options_.low_kind))
-            .status());
-    return source_
-        ->DeleteWhere(txn, options_.signal_table,
-                      kind_pred(options_.high_kind))
-        .status();
-  });
+  // Value-delta windows write no signal rows.
+  if (leg_->capture() == nullptr) return Status::OK();
+  // Captured: the delete replays at the warehouse, cleaning its copy. Ids
+  // are never reused, so deleting another window's in-flight marker is
+  // harmless — its insert is already in the op log.
+  sql::DeleteStmt del;
+  del.table = kSignalTable;
+  del.where = engine::Predicate::Where("tbl", engine::CompareOp::kEq,
+                                       Value::String(table_));
+  return leg_->capture()
+      ->RunTransaction({sql::Statement(std::move(del))})
+      .status();
 }
 
 }  // namespace opdelta::backfill

@@ -7,6 +7,7 @@
 
 #include "common/status.h"
 #include "engine/database.h"
+#include "extract/delta.h"
 #include "pipeline/source_leg.h"
 #include "sql/statement_cache.h"
 
@@ -23,10 +24,19 @@ struct WindowRow {
 
 /// The DBLog watermark-bracketed chunk primitive, shared by the online
 /// backfiller (bootstrap) and the anti-entropy scrubber (verify/repair):
-/// low signal → committed range read → high signal → drain the leg until
-/// the window closes. Everything the drain ships reaches the warehouse
-/// before anything derived from the chunk, which is what makes the chunk
-/// safe to ship (backfill) or compare (scrub) against live traffic.
+/// committed range read → high watermark → drain the leg until the window
+/// closes. Everything the drain ships reaches the warehouse before
+/// anything derived from the chunk, which is what makes the chunk safe to
+/// ship (backfill) or compare (scrub) against live traffic.
+///
+/// Only the high watermark is written. Every close treats each drained
+/// event on the table as in-window, so a low marker would never be read.
+/// For op-delta sources the high watermark is a signal row inserted
+/// through the capture wrapper: its position in the op log orders it
+/// after everything committed before the close, and the window closes when
+/// a drained batch carries it. Value-delta sources write no signal row at
+/// all: extraction picks up everything committed before the close, so the
+/// window closes when a drain runs dry.
 ///
 /// Two close modes:
 ///  - kRepair (backfill semantics): chunk rows touched by in-window events
@@ -37,24 +47,16 @@ struct WindowRow {
 ///    scrubber needs this so a key inserted mid-repair is never on its
 ///    delete list.
 ///  - kDetect (scrub verify semantics): no repair reads. The outcome just
-///    reports whether *any* in-window event touched the table (counting
-///    only events at or after this window's low signal when the stream
-///    carries markers). Conservative by design: a touched window makes the
-///    chunk inconclusive-and-retried, never a false positive.
+///    reports whether *any* drained event touched the table. Conservative
+///    by design: a touched window makes the chunk inconclusive-and-retried,
+///    never a false positive.
 ///
-/// Threading: like Backfiller::Step, all calls must be serialized with the
-/// leg's producer side.
+/// Threading: all calls must be serialized with the leg's producer side.
 class ChunkWindow {
  public:
-  struct Options {
-    std::string signal_table;
-    /// Signal-row kinds. Concurrent users of one signal table (backfill
-    /// and scrub) use distinct kinds so neither closes the other's window.
-    std::string low_kind = "low";
-    std::string high_kind = "high";
-    /// Bound on drain/repair rounds per window under sustained writes.
-    int max_window_drains = 8;
-  };
+  /// Source table of the op-delta high watermarks; the warehouse needs it
+  /// too (EnsureSignalTable), since the captured inserts replay there.
+  static constexpr char kSignalTable[] = "__backfill_signal";
 
   enum class CloseMode { kRepair, kDetect };
 
@@ -63,67 +65,72 @@ class ChunkWindow {
     uint64_t rows_deduped = 0;   // rows whose repair read replaced the image
   };
 
-  /// `leg` must outlive the window and be Created for the table; the key
-  /// column (first column, by convention) must be INT64 — callers validate.
-  ChunkWindow(pipeline::SourceLeg* leg, Options options);
+  /// OK when `leg`'s source table exists (NotFound) and has an INT64 key
+  /// column, first by convention (NotSupported otherwise).
+  static Status CheckTable(pipeline::SourceLeg* leg);
 
-  /// (sig INT64, kind STRING, tbl STRING) — no timestamp column, so the
-  /// engine's auto-stamping never rewrites a signal row.
-  static catalog::Schema SignalTableSchema();
+  /// `leg` must outlive the window and pass CheckTable.
+  explicit ChunkWindow(pipeline::SourceLeg* leg);
 
-  /// Creates the signal table if missing. Idempotent. Call on the
-  /// warehouse too for op-delta sources (captured signal inserts replay
-  /// there).
-  static Status EnsureSignalTable(engine::Database* db,
-                                  const std::string& table);
+  /// Creates the signal table in `db` if missing. Idempotent.
+  static Status EnsureSignalTable(engine::Database* db);
 
-  /// Writes the low-watermark signal row for window `id`.
-  Status Open(uint64_t id);
+  /// Creates the source's signal table when the leg captures op-deltas.
+  /// Idempotent.
+  Status Setup();
 
-  /// Selects the committed rows with key > lo (when set), key <= hi (when
-  /// set), smallest first, at most `limit` (0 = unlimited): a latch-only
-  /// candidate pass, then per-row committed reads under row S locks in one
-  /// transaction, aborted on any error. `*more` reports a truncated
-  /// selection. Rows that vanish between the passes come back as
-  /// needs_repair and are resolved by Close.
+  /// Key predicate of the range (lo, hi]; an unset bound is open.
+  engine::Predicate KeyRange(std::optional<int64_t> lo,
+                             std::optional<int64_t> hi) const;
+
+  /// Re-resolves the table's schema — DDL between windows changes row
+  /// arity — then selects the committed rows in (lo, hi], smallest first,
+  /// at most `limit` (0 = unlimited): a latch-only candidate pass, then
+  /// per-row committed reads under row S locks in one transaction, aborted
+  /// on any error. `*more` reports a truncated selection. Rows that vanish
+  /// between the passes come back as needs_repair and are resolved by
+  /// Close.
   Status ReadRange(std::optional<int64_t> lo, std::optional<int64_t> hi,
                    uint64_t limit, std::vector<WindowRow>* rows, bool* more);
 
-  /// Writes the high-watermark signal for `id` and drains the leg until
-  /// the window closes (the high marker ships for op-delta; extraction
-  /// runs dry for value-delta). With `collect` set (kRepair only),
-  /// in-window events on keys inside (collect_lo, collect_hi] that are
-  /// absent from `rows` are appended as needs_repair rows and resolved
-  /// with the rest.
-  Status Close(uint64_t id, CloseMode mode, bool collect,
+  /// Writes the high watermark (op-delta) and drains the leg until the
+  /// window closes. With `collect` set (kRepair only), in-window events on
+  /// keys inside (collect_lo, collect_hi] that are absent from `rows` are
+  /// appended as needs_repair rows and resolved with the rest.
+  Status Close(CloseMode mode, bool collect,
                std::optional<int64_t> collect_lo,
                std::optional<int64_t> collect_hi,
                std::vector<WindowRow>* rows, CloseOutcome* outcome);
 
-  /// Deletes this table's signal rows (captured for op-delta, so replay
-  /// cleans the warehouse copy too).
+  /// The present rows as a batch of upserts, under the schema they were
+  /// read with. Moves the row images out.
+  extract::DeltaBatch UpsertBatch(std::vector<WindowRow>* rows) const;
+
+  /// Deletes this table's signal rows (captured, so replay cleans the
+  /// warehouse copy too). No-op for value-delta sources.
   Status CleanupSignals();
 
-  /// Committed state of `key` right now; *found=false when no committed
-  /// row carries it. Locks stay with `txn`.
-  Status ReadCommittedByKey(txn::Transaction* txn, int64_t key,
-                            catalog::Row* row, bool* found);
-
-  const std::string& table() const { return table_; }
-  const catalog::Schema& schema() const { return schema_; }
   int key_col() const { return key_col_; }
 
  private:
-  Status WriteSignal(uint64_t id, const std::string& kind);
+  /// Process-wide strictly increasing id, so a stale watermark still in an
+  /// op log — from a crashed window, another window on the table or an
+  /// earlier process — never closes this window early.
+  static uint64_t NextWindowId();
+  Status WriteHighSignal(uint64_t id);
   /// Inspects one shipped message: marks touched rows / collects range
-  /// keys (kRepair) or detects any table touch past the low marker
-  /// (kDetect); reports whether window `id`'s high signal was observed.
+  /// keys (kRepair) or detects any table touch (kDetect); reports whether
+  /// window `id`'s high signal was observed.
   Status InspectShipped(const std::string& message, uint64_t id,
                         CloseMode mode, bool collect,
                         std::optional<int64_t> collect_lo,
                         std::optional<int64_t> collect_hi,
-                        std::vector<WindowRow>* rows, bool* saw_low,
-                        bool* saw_high, bool* touched);
+                        std::vector<WindowRow>* rows, bool* saw_high,
+                        bool* touched);
+  /// Committed state of `key` right now; *found=false when no committed
+  /// row carries it. Locks stay with `txn`.
+  Status ReadCommittedByKey(txn::Transaction* txn, int64_t key,
+                            catalog::Row* row, bool* found);
   /// Re-reads every needs_repair row committed-by-key; absent rows drop.
   Status RepairRows(std::vector<WindowRow>* rows, CloseOutcome* outcome);
 
@@ -134,7 +141,6 @@ class ChunkWindow {
 
   pipeline::SourceLeg* leg_;
   engine::Database* source_;
-  Options options_;
   std::string table_;
   catalog::Schema schema_;
   int key_col_ = 0;

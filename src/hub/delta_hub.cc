@@ -61,6 +61,11 @@ Status JoinErrors(const std::vector<Status>& errors) {
 
 constexpr size_t kMaxRetainedDriverErrors = 16;
 
+// Retry backoff gets a uniform ± kBackoffJitter fraction added, drawn from a
+// per-group generator seeded kRetrySeed + group index (deterministic runs).
+constexpr double kBackoffJitter = 0.2;
+constexpr uint64_t kRetrySeed = 1;
+
 }  // namespace
 
 struct DeltaHub::Source {
@@ -245,7 +250,7 @@ Status DeltaHub::BuildGroups() {
     group->members.push_back(source.get());
   }
   for (size_t i = 0; i < groups_.size(); ++i) {
-    groups_[i]->rng = Rng(options_.retry_seed + i);
+    groups_[i]->rng = Rng(kRetrySeed + i);
   }
   // Partition warehouse tables across apply workers: every group writing a
   // table maps to the same lane, so one table never applies out of order.
@@ -266,8 +271,7 @@ Status DeltaHub::Setup() {
   OPDELTA_RETURN_IF_ERROR(Env::Default()->CreateDir(options_.work_dir));
   OPDELTA_RETURN_IF_ERROR(BuildGroups());
 
-  ledger_ = std::make_unique<warehouse::ApplyLedger>(warehouse_,
-                                                     options_.ledger_table);
+  ledger_ = std::make_unique<warehouse::ApplyLedger>(warehouse_);
   OPDELTA_RETURN_IF_ERROR(ledger_->Setup());
 
   stats_.sources.clear();
@@ -279,27 +283,21 @@ Status DeltaHub::Setup() {
     entry.apply_threads = std::max<size_t>(1, source->spec.apply_threads);
     stats_.sources.push_back(std::move(entry));
     OPDELTA_RETURN_IF_ERROR(source->leg->Setup());
+    if ((source->spec.backfill || source->spec.scrub) &&
+        source->spec.method == pipeline::Method::kOpDelta) {
+      // Captured watermark-signal statements replay at the warehouse, so
+      // it needs the signal table too.
+      OPDELTA_RETURN_IF_ERROR(
+          backfill::ChunkWindow::EnsureSignalTable(warehouse_));
+    }
     if (source->spec.backfill) {
-      if (source->spec.method == pipeline::Method::kOpDelta) {
-        // Captured watermark-signal statements replay at the warehouse,
-        // so it needs the signal table too.
-        OPDELTA_RETURN_IF_ERROR(
-            backfill::Backfiller::EnsureSignalTable(warehouse_));
-      }
-      backfill::BackfillOptions bf_options;
-      bf_options.chunk_rows = source->spec.backfill_chunk_rows;
       OPDELTA_ASSIGN_OR_RETURN(
           source->backfiller,
-          backfill::Backfiller::Create(source->leg.get(), bf_options));
+          backfill::Backfiller::Create(source->leg.get(),
+                                       source->spec.backfill_chunk_rows));
       OPDELTA_RETURN_IF_ERROR(source->backfiller->Setup());
     }
     if (source->spec.scrub) {
-      if (source->spec.method == pipeline::Method::kOpDelta) {
-        // Captured scrub-watermark statements replay at the warehouse,
-        // so it needs the signal table (shared with backfill's).
-        OPDELTA_RETURN_IF_ERROR(
-            backfill::Backfiller::EnsureSignalTable(warehouse_));
-      }
       Group* group = nullptr;
       for (const auto& g : groups_) {
         if (std::find(g->members.begin(), g->members.end(), source.get()) !=
@@ -308,14 +306,12 @@ Status DeltaHub::Setup() {
           break;
         }
       }
-      scrub::ScrubOptions sc_options;
-      sc_options.chunk_rows = source->spec.scrub_chunk_rows;
-      sc_options.repair = source->spec.scrub_repair;
       OPDELTA_ASSIGN_OR_RETURN(
           source->scrubber,
           scrub::Scrubber::Create(
               source->leg.get(), warehouse_,
-              [this, group] { return DrainBacklog(group); }, sc_options));
+              [this, group] { return DrainBacklog(group); },
+              source->spec.scrub_chunk_rows, source->spec.scrub_repair));
       OPDELTA_RETURN_IF_ERROR(source->scrubber->Setup());
     }
   }
@@ -502,7 +498,7 @@ Status DeltaHub::SuperviseRound(Group* group) {
     delay_ms = std::min(
         delay_ms, static_cast<double>(options_.backoff_max.count()));
     // Jitter desynchronizes retries across groups hitting a shared fault.
-    delay_ms *= 1.0 + options_.backoff_jitter *
+    delay_ms *= 1.0 + kBackoffJitter *
                           (2.0 * group->rng.NextDouble() - 1.0);
     {
       std::lock_guard<common::OrderedMutex> lock(stats_mutex_);

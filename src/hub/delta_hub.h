@@ -106,8 +106,6 @@ struct HubOptions {
   /// First retry delay; doubles per retry up to backoff_max.
   std::chrono::milliseconds backoff_initial{10};
   std::chrono::milliseconds backoff_max{1000};
-  /// Uniform ± fraction of the delay added to desynchronize retries.
-  double backoff_jitter = 0.2;
   /// Consecutive failed rounds after which a group is quarantined: skipped
   /// by subsequent rounds and probed at growing backoff intervals. A
   /// successful probe lifts the quarantine. <= 0 disables quarantining.
@@ -118,15 +116,13 @@ struct HubOptions {
   /// immediately; transient failures that exhaust retries stay queued and
   /// replay next round.
   int apply_attempts = 3;
-  /// Seed for the retry-jitter RNG (deterministic tests).
-  uint64_t retry_seed = 1;
 
   // --- Exactly-once apply (warehouse::ApplyLedger) ---
 
-  /// Warehouse table recording applied-batch watermarks (created by
-  /// Setup). Progress rows commit atomically with each applied batch, so
-  /// redelivered batches are recognized and dropped.
-  std::string ledger_table = warehouse::ApplyLedger::kDefaultTable;
+  /// Setup creates the warehouse's `__apply_ledger` table. Progress rows
+  /// commit atomically with each applied batch, so redelivered batches are
+  /// recognized and dropped.
+  ///
   /// Compact the ledger (prune superseded watermark rows) after this many
   /// applied batches. 0 disables compaction.
   uint64_t ledger_compact_every = 256;

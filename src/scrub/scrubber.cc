@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <utility>
 
-#include "common/clock.h"
 #include "common/coding.h"
 #include "common/logging.h"
 
@@ -15,28 +14,20 @@ using backfill::WindowRow;
 using catalog::Value;
 using catalog::ValueType;
 
-namespace {
-
-// Signal-row kinds distinct from backfill's "low"/"high", so a scrub
-// window and a backfill window on the same table never close each other.
-constexpr char kLowKind[] = "scrub-low";
-constexpr char kHighKind[] = "scrub-high";
-
-}  // namespace
+constexpr int Scrubber::kEscalateAfter;
 
 Scrubber::Scrubber(pipeline::SourceLeg* leg, engine::Database* warehouse,
-                   DrainFn drain, ScrubOptions options)
+                   DrainFn drain, uint64_t chunk_rows, bool repair)
     : leg_(leg),
       source_(leg->source()),
       warehouse_(warehouse),
       drain_(std::move(drain)),
-      options_(std::move(options)),
+      chunk_rows_(chunk_rows),
+      repair_(repair),
       table_(leg->options().source_table),
       wh_table_(leg->options().warehouse_table),
-      window_(leg,
-              ChunkWindow::Options{options_.signal_table, kLowKind, kHighKind,
-                                   options_.max_window_drains}),
-      ledger_(leg->source(), options_.ledger_table) {
+      window_(leg),
+      ledger_(leg->source(), table_, "scrub") {
   engine::Table* table = source_->GetTable(table_);
   schema_ = table->schema();
   key_col_ = schema_.KeyColumnIndex();
@@ -46,7 +37,8 @@ Scrubber::Scrubber(pipeline::SourceLeg* leg, engine::Database* warehouse,
 Result<std::unique_ptr<Scrubber>> Scrubber::Create(pipeline::SourceLeg* leg,
                                                    engine::Database* warehouse,
                                                    DrainFn drain,
-                                                   ScrubOptions options) {
+                                                   uint64_t chunk_rows,
+                                                   bool repair) {
   if (leg == nullptr) return Status::InvalidArgument("source leg required");
   if (warehouse == nullptr) {
     return Status::InvalidArgument("warehouse database required");
@@ -54,24 +46,16 @@ Result<std::unique_ptr<Scrubber>> Scrubber::Create(pipeline::SourceLeg* leg,
   if (drain == nullptr) {
     return Status::InvalidArgument("drain callback required");
   }
-  if (options.chunk_rows == 0) {
+  if (chunk_rows == 0) {
     return Status::InvalidArgument("chunk_rows must be positive");
   }
   const std::string& source_table = leg->options().source_table;
-  if (source_table == options.signal_table) {
+  if (source_table == ChunkWindow::kSignalTable) {
     return Status::NotSupported("cannot scrub the signal table itself");
   }
-  engine::Table* src = leg->source()->GetTable(source_table);
-  if (src == nullptr) {
-    return Status::NotFound("source table " + source_table);
-  }
-  const catalog::Schema& schema = src->schema();
-  const int key = schema.KeyColumnIndex();
-  if (key < 0 ||
-      schema.column(static_cast<size_t>(key)).type != ValueType::kInt64) {
-    return Status::NotSupported(
-        "scrub requires an INT64 key column (first column)");
-  }
+  OPDELTA_RETURN_IF_ERROR(ChunkWindow::CheckTable(leg));
+  const catalog::Schema& schema =
+      leg->source()->GetTable(source_table)->schema();
   engine::Table* dst = warehouse->GetTable(leg->options().warehouse_table);
   if (dst == nullptr) {
     return Status::NotFound("warehouse table " +
@@ -100,35 +84,17 @@ Result<std::unique_ptr<Scrubber>> Scrubber::Create(pipeline::SourceLeg* leg,
           "source and warehouse schemas must match to scrub " + source_table);
     }
   }
-  return std::unique_ptr<Scrubber>(
-      new Scrubber(leg, warehouse, std::move(drain), std::move(options)));
+  return std::unique_ptr<Scrubber>(new Scrubber(
+      leg, warehouse, std::move(drain), chunk_rows, repair));
 }
 
 Status Scrubber::Setup() {
   if (setup_done_) return Status::OK();
-  OPDELTA_RETURN_IF_ERROR(
-      ChunkWindow::EnsureSignalTable(source_, options_.signal_table));
+  OPDELTA_RETURN_IF_ERROR(window_.Setup());
   OPDELTA_RETURN_IF_ERROR(ledger_.Setup());
-  OPDELTA_ASSIGN_OR_RETURN(ScrubLedger::Progress progress,
-                           ledger_.Get(table_));
-  pass_ = progress.pass;
-  have_cursor_ = progress.have_cursor;
-  cursor_ = progress.cursor;
-  chunks_this_pass_ = progress.chunks;
-  stats_.passes = progress.passes_complete;
+  stats_.passes = ledger_.passes_done();
   setup_done_ = true;
   return Status::OK();
-}
-
-uint64_t Scrubber::NextWindowId() {
-  // Wall-clock ids are unique across crash-restarts within this process
-  // lifetime's clock domain; the max() guard keeps them strictly monotone
-  // even if the clock stalls inside one microsecond.
-  uint64_t id =
-      static_cast<uint64_t>(RealClock::Default()->NowMicros());
-  if (id <= last_window_id_) id = last_window_id_ + 1;
-  last_window_id_ = id;
-  return id;
 }
 
 void Scrubber::AddRowDigest(const catalog::Row& row,
@@ -163,21 +129,8 @@ void Scrubber::AddRowDigest(const catalog::Row& row,
 Status Scrubber::WarehouseChunk(std::optional<int64_t> lo,
                                 std::optional<int64_t> hi, SetDigest* digest,
                                 std::set<int64_t>* keys) {
-  const std::string& key_name =
-      schema_.column(static_cast<size_t>(key_col_)).name;
-  engine::Predicate pred = engine::Predicate::True();
-  if (lo.has_value()) {
-    pred = engine::Predicate::Where(key_name, engine::CompareOp::kGt,
-                                    Value::Int64(*lo));
-    if (hi.has_value()) {
-      pred.And(key_name, engine::CompareOp::kLe, Value::Int64(*hi));
-    }
-  } else if (hi.has_value()) {
-    pred = engine::Predicate::Where(key_name, engine::CompareOp::kLe,
-                                    Value::Int64(*hi));
-  }
   return warehouse_->ScanCommitted(
-      wh_table_, pred, [&](const catalog::Row& row) {
+      wh_table_, window_.KeyRange(lo, hi), [&](const catalog::Row& row) {
         if (static_cast<size_t>(key_col_) < row.size() &&
             row[static_cast<size_t>(key_col_)].type() == ValueType::kInt64) {
           keys->insert(row[static_cast<size_t>(key_col_)].AsInt64());
@@ -194,31 +147,18 @@ Status Scrubber::RepairChunk(std::optional<int64_t> lo,
   // post-delta committed images, and keys that in-window events touched
   // inside the range are collected and resolved too — a key inserted
   // mid-repair must end up upserted, never on the delete list below.
-  const uint64_t window_id = NextWindowId();
-  OPDELTA_RETURN_IF_ERROR(window_.Open(window_id));
   std::vector<WindowRow> rows;
   bool more = false;
   OPDELTA_RETURN_IF_ERROR(
       window_.ReadRange(lo, hi, /*limit=*/0, &rows, &more));
   ChunkWindow::CloseOutcome outcome;
-  OPDELTA_RETURN_IF_ERROR(window_.Close(window_id,
-                                        ChunkWindow::CloseMode::kRepair,
+  OPDELTA_RETURN_IF_ERROR(window_.Close(ChunkWindow::CloseMode::kRepair,
                                         /*collect=*/true, lo, hi, &rows,
                                         &outcome));
 
-  extract::DeltaBatch batch;
-  batch.table = table_;
-  batch.schema = schema_;
   std::set<int64_t> fresh;
-  for (WindowRow& r : rows) {
-    fresh.insert(r.key);
-    if (!r.present) continue;
-    extract::DeltaRecord rec;
-    rec.op = extract::DeltaOp::kUpsert;
-    rec.seq = batch.records.size() + 1;
-    rec.image = std::move(r.image);
-    batch.records.push_back(std::move(rec));
-  }
+  for (const WindowRow& r : rows) fresh.insert(r.key);
+  extract::DeltaBatch batch = window_.UpsertBatch(&rows);
   for (int64_t key : wh_keys) {
     if (fresh.count(key) != 0) continue;
     // Warehouse-only key with no committed source row: ship a delete. The
@@ -226,8 +166,8 @@ Status Scrubber::RepairChunk(std::optional<int64_t> lo,
     extract::DeltaRecord rec;
     rec.op = extract::DeltaOp::kDelete;
     rec.seq = batch.records.size() + 1;
-    rec.image = catalog::Row(schema_.num_columns());
-    rec.image[static_cast<size_t>(key_col_)] = Value::Int64(key);
+    rec.image = catalog::Row(batch.schema.num_columns());
+    rec.image[static_cast<size_t>(window_.key_col())] = Value::Int64(key);
     batch.records.push_back(std::move(rec));
   }
   if (batch.records.empty()) return Status::OK();
@@ -240,38 +180,16 @@ Status Scrubber::RepairChunk(std::optional<int64_t> lo,
 
 Status Scrubber::AdvanceCursor(const std::vector<WindowRow>& rows,
                                bool more) {
-  ++chunks_this_pass_;
-  if (more) {
-    cursor_ = rows.back().key;
-    have_cursor_ = true;
-    OPDELTA_RETURN_IF_ERROR(
-        ledger_.Advance(table_, pass_, cursor_, chunks_this_pass_));
-  } else {
-    // Pass complete: wrap to the smallest key for the next pass.
-    OPDELTA_RETURN_IF_ERROR(
-        ledger_.MarkPass(table_, pass_, chunks_this_pass_));
-    ++stats_.passes;
-    ++pass_;
-    have_cursor_ = false;
-    cursor_ = 0;
-    chunks_this_pass_ = 0;
-    pass_just_completed_ = true;
-    // Housekeeping: stale watermark rows from crashed windows are inert
-    // (ids are never reused) but accumulate; sweep them between passes.
-    Status st = window_.CleanupSignals();
-    if (!st.ok()) {
-      OPDELTA_LOG(kWarn) << "scrub signal cleanup failed: " << st.ToString();
-    }
-  }
-  if (options_.ledger_compact_every != 0 &&
-      (stats_.chunks_scrubbed + stats_.chunks_repaired) %
-              options_.ledger_compact_every ==
-          0) {
-    Status st = ledger_.Compact();
-    if (!st.ok()) {
-      OPDELTA_LOG(kWarn) << "scrub-ledger compaction failed: "
-                         << st.ToString();
-    }
+  if (more) return ledger_.Advance(rows.back().key, rows.size());
+  // Pass complete: the next chunk wraps to the smallest key.
+  OPDELTA_RETURN_IF_ERROR(ledger_.FinishPass(rows.size()));
+  stats_.passes = ledger_.passes_done();
+  pass_just_completed_ = true;
+  // Housekeeping: stale watermark rows from crashed windows are inert
+  // (ids are never reused) but accumulate; sweep them between passes.
+  Status st = window_.CleanupSignals();
+  if (!st.ok()) {
+    OPDELTA_LOG(kWarn) << "scrub signal cleanup failed: " << st.ToString();
   }
   return Status::OK();
 }
@@ -291,15 +209,12 @@ Status Scrubber::Step() {
   ts_col_ = schema_.TimestampColumnIndex();
   const uint64_t ddl_epoch_at_open = source_->ddl_epoch();
 
-  // 1. Bracket the chunk read in a watermark window.
-  const uint64_t window_id = NextWindowId();
-  OPDELTA_RETURN_IF_ERROR(window_.Open(window_id));
-  const std::optional<int64_t> lo =
-      have_cursor_ ? std::optional<int64_t>(cursor_) : std::nullopt;
+  // 1. Read the chunk inside a watermark window.
+  const std::optional<int64_t> lo = ledger_.cursor();
   std::vector<WindowRow> rows;
   bool more = false;
   OPDELTA_RETURN_IF_ERROR(
-      window_.ReadRange(lo, std::nullopt, options_.chunk_rows, &rows, &more));
+      window_.ReadRange(lo, std::nullopt, chunk_rows_, &rows, &more));
   // The verified range is (lo, hi]: bounded by the chunk's last key when
   // the selection truncated, open-ended otherwise so a full pass covers
   // the whole key space — including warehouse-only keys past the source's
@@ -310,8 +225,7 @@ Status Scrubber::Step() {
   // 2. Close in detect mode: any in-window event on this table makes the
   //    chunk inconclusive (retried), never a verdict.
   ChunkWindow::CloseOutcome outcome;
-  OPDELTA_RETURN_IF_ERROR(window_.Close(window_id,
-                                        ChunkWindow::CloseMode::kDetect,
+  OPDELTA_RETURN_IF_ERROR(window_.Close(ChunkWindow::CloseMode::kDetect,
                                         /*collect=*/false, std::nullopt,
                                         std::nullopt, &rows, &outcome));
 
@@ -371,11 +285,11 @@ Status Scrubber::Step() {
                      << (hi.has_value() ? std::to_string(*hi) : "+inf")
                      << "]: source " << src_digest.ToString()
                      << " vs warehouse " << wh_digest.ToString();
-  if (!options_.repair) {
+  if (!repair_) {
     return AdvanceCursor(rows, more);
   }
   const int streak = ++repair_streak_[streak_key];
-  if (options_.escalate_after > 0 && streak > options_.escalate_after) {
+  if (streak > kEscalateAfter) {
     // Do not advance: the chunk stays current so supervision keeps seeing
     // the failure (and quarantines the source) until an operator acts.
     return Status::Internal(

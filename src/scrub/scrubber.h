@@ -9,42 +9,14 @@
 #include <string>
 #include <vector>
 
-#include "backfill/backfiller.h"
 #include "backfill/chunk_window.h"
+#include "backfill/cursor_ledger.h"
 #include "common/digest.h"
 #include "common/status.h"
 #include "engine/database.h"
 #include "pipeline/source_leg.h"
-#include "scrub/scrub_ledger.h"
 
 namespace opdelta::scrub {
-
-struct ScrubOptions {
-  /// Rows per verified chunk (one Step verifies one chunk).
-  uint64_t chunk_rows = 256;
-
-  /// Repair confirmed mismatches by re-shipping the chunk as a snapshot
-  /// frame. false = report-only: mismatches are counted and skipped.
-  bool repair = true;
-
-  /// Watermark-signal table, shared with the backfiller (distinct row
-  /// kinds keep the two from closing each other's windows).
-  std::string signal_table = backfill::BackfillOptions::kDefaultSignalTable;
-
-  /// ScrubLedger table in the source database.
-  std::string ledger_table = ScrubLedger::kDefaultTable;
-
-  /// Compact the scrub ledger every N verified chunks. 0 disables.
-  uint64_t ledger_compact_every = 32;
-
-  /// Bound on watermark-window drain rounds per chunk (see ChunkWindow).
-  int max_window_drains = 8;
-
-  /// Error out (instead of repairing again) once the same chunk has been
-  /// repaired this many times without verifying clean in between — the
-  /// hub's supervision then quarantines the source. <= 0 disables.
-  int escalate_after = 3;
-};
 
 struct ScrubStats {
   uint64_t chunks_scrubbed = 0;      // chunks that verified clean
@@ -62,10 +34,10 @@ struct ScrubStats {
 ///
 /// Each Step() verifies one chunk:
 ///
-///   1. open a watermark window (ChunkWindow, the primitive backfill
-///      uses) and read the chunk's committed rows on the source;
-///   2. close the window in *detect* mode: drain capture until the high
-///      marker ships. Any in-window event on the table makes the chunk
+///   1. read the chunk's committed rows on the source inside a watermark
+///      window (ChunkWindow, the primitive backfill uses);
+///   2. close the window in *detect* mode: drain capture until the window
+///      closes. Any in-window event on the table makes the chunk
 ///      INCONCLUSIVE — it is retried next round, never reported. A clean
 ///      window proves the chunk equals the source's state at the high
 ///      watermark;
@@ -83,10 +55,11 @@ struct ScrubStats {
 ///      exactly-once ledger path, then drain again. Idempotent and
 ///      crash-safe for the same reason backfill chunks are.
 ///
-/// The cursor persists in a ScrubLedger (source database); a completed
-/// pass wraps to the smallest key, so scrubbing runs forever in bounded
-/// space. Repeated repair of one chunk without an intervening clean
-/// verify escalates to an error so the hub can quarantine the source.
+/// The cursor persists as the `scrub` walk of the source's CursorLedger; a
+/// completed pass wraps to the smallest key, so scrubbing runs forever in
+/// bounded space. A chunk repaired kEscalateAfter times without an
+/// intervening clean verify escalates to an error so the hub can
+/// quarantine the source.
 ///
 /// The digest compare is sound for op-delta and trigger sources (every
 /// committed change ships, so an untouched window pins both sides).
@@ -104,16 +77,23 @@ class Scrubber {
   /// callers loop PeekShipped/Integrate/AckShipped.
   using DrainFn = std::function<Status()>;
 
+  /// Repairs of one chunk, without a clean verify in between, after which
+  /// the next mismatch is an error instead of another repair.
+  static constexpr int kEscalateAfter = 3;
+
   /// `leg` and `warehouse` must outlive the scrubber; the leg must be
   /// Created for the table and the warehouse table must share its schema
-  /// (with an INT64 key column, first by convention).
+  /// (with an INT64 key column, first by convention). Each Step verifies
+  /// `chunk_rows` rows. `repair` re-ships confirmed mismatches as snapshot
+  /// frames; false only counts and skips them.
   static Result<std::unique_ptr<Scrubber>> Create(pipeline::SourceLeg* leg,
                                                   engine::Database* warehouse,
                                                   DrainFn drain,
-                                                  ScrubOptions options);
+                                                  uint64_t chunk_rows,
+                                                  bool repair);
 
-  /// Creates signal + ledger tables, loads the durable cursor. Call after
-  /// the leg's Setup. Idempotent.
+  /// Creates the signal (op-delta) and ledger tables, loads the durable
+  /// cursor. Call after the leg's Setup. Idempotent.
   Status Setup();
 
   /// Verifies (and, when enabled, repairs) the next chunk. An
@@ -125,16 +105,10 @@ class Scrubber {
   bool pass_just_completed() const { return pass_just_completed_; }
 
   const ScrubStats& stats() const { return stats_; }
-  const ScrubOptions& options() const { return options_; }
 
  private:
   Scrubber(pipeline::SourceLeg* leg, engine::Database* warehouse,
-           DrainFn drain, ScrubOptions options);
-
-  /// Monotone window id, distinct from any id a previous incarnation used:
-  /// a stale high-marker row still in the op log must never close one of
-  /// our windows early (that would silently un-bracket the chunk read).
-  uint64_t NextWindowId();
+           DrainFn drain, uint64_t chunk_rows, bool repair);
 
   /// Folds one row into `digest`, skipping the auto-timestamp column.
   void AddRowDigest(const catalog::Row& row, SetDigest* digest) const;
@@ -158,22 +132,17 @@ class Scrubber {
   engine::Database* source_;
   engine::Database* warehouse_;
   DrainFn drain_;
-  ScrubOptions options_;
+  uint64_t chunk_rows_;
+  bool repair_;
   std::string table_;     // source table
   std::string wh_table_;  // warehouse mirror
   catalog::Schema schema_;
   int key_col_ = 0;
   int ts_col_ = -1;       // auto-timestamp column; excluded from digests
   backfill::ChunkWindow window_;
-  ScrubLedger ledger_;
+  backfill::CursorLedger ledger_;
   bool setup_done_ = false;
-
-  uint64_t pass_ = 1;
-  bool have_cursor_ = false;
-  int64_t cursor_ = 0;
-  uint64_t chunks_this_pass_ = 0;
   bool pass_just_completed_ = false;
-  uint64_t last_window_id_ = 0;
 
   /// Consecutive repairs per chunk (keyed by the chunk's lower bound),
   /// erased by a clean verify. Chunk boundaries drift as rows come and

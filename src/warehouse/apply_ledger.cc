@@ -43,7 +43,7 @@ Status CheckIdentity(const extract::BatchId& id) {
 
 }  // namespace
 
-constexpr char ApplyLedger::kDefaultTable[];
+constexpr char ApplyLedger::kTable[];
 
 catalog::Schema ApplyLedger::TableSchema() {
   return catalog::Schema({Column{"source", ValueType::kString},
@@ -54,8 +54,8 @@ catalog::Schema ApplyLedger::TableSchema() {
 }
 
 Status ApplyLedger::Setup() {
-  if (db_->GetTable(table_) != nullptr) return Status::OK();
-  Status st = db_->CreateTable(table_, TableSchema());
+  if (db_->GetTable(kTable) != nullptr) return Status::OK();
+  Status st = db_->CreateTable(kTable, TableSchema());
   if (st.code() == StatusCode::kAlreadyExists) return Status::OK();
   return st;
 }
@@ -65,7 +65,7 @@ Result<ApplyLedger::Watermark> ApplyLedger::Get(const std::string& source_id) {
   engine::Predicate pred = engine::Predicate::Where(
       "source", engine::CompareOp::kEq, Value::String(source_id));
   OPDELTA_RETURN_IF_ERROR(db_->Scan(
-      nullptr, table_, pred,
+      nullptr, kTable, pred,
       [&](const storage::Rid&, const catalog::Row& row) {
         if (row[kKind].AsString() != kWatermarkKind) return true;
         const uint64_t epoch = static_cast<uint64_t>(row[kEpoch].AsInt64());
@@ -86,7 +86,7 @@ Result<ApplyLedger::Watermark> ApplyLedger::FindHole(
   engine::Predicate pred = engine::Predicate::Where(
       "source", engine::CompareOp::kEq, Value::String(id.source_id));
   OPDELTA_RETURN_IF_ERROR(db_->Scan(
-      nullptr, table_, pred,
+      nullptr, kTable, pred,
       [&](const storage::Rid&, const catalog::Row& row) {
         if (row[kKind].AsString() != kHoleKind) return true;
         if (static_cast<uint64_t>(row[kEpoch].AsInt64()) != id.epoch ||
@@ -132,7 +132,7 @@ Status ApplyLedger::Advance(txn::Transaction* txn, const extract::BatchId& id,
   engine::Predicate pred = engine::Predicate::Where(
       "source", engine::CompareOp::kEq, Value::String(id.source_id));
   OPDELTA_RETURN_IF_ERROR(db_->Scan(
-      txn, table_, pred,
+      txn, kTable, pred,
       [&](const storage::Rid& rid, const catalog::Row& row) {
         if (row[kKind].AsString() == kHoleKind &&
             static_cast<uint64_t>(row[kEpoch].AsInt64()) == id.epoch &&
@@ -142,9 +142,9 @@ Status ApplyLedger::Advance(txn::Transaction* txn, const extract::BatchId& id,
         return true;
       }));
   for (const storage::Rid& rid : holes) {
-    OPDELTA_RETURN_IF_ERROR(db_->DeleteAt(txn, table_, rid));
+    OPDELTA_RETURN_IF_ERROR(db_->DeleteAt(txn, kTable, rid));
   }
-  return db_->InsertRaw(txn, table_,
+  return db_->InsertRaw(txn, kTable,
                         LedgerRow(id, kWatermarkKind, txns_applied));
 }
 
@@ -156,7 +156,7 @@ Status ApplyLedger::RecordSkip(const extract::BatchId& id) {
   const uint64_t applied =
       (w.exists && w.epoch == id.epoch && w.seq == id.seq) ? w.txns : 0;
   return db_->WithTransaction([&](txn::Transaction* txn) {
-    return db_->InsertRaw(txn, table_, LedgerRow(id, kHoleKind, applied));
+    return db_->InsertRaw(txn, kTable, LedgerRow(id, kHoleKind, applied));
   });
 }
 
@@ -172,7 +172,7 @@ Status ApplyLedger::Compact(uint64_t* rows_removed) {
     std::map<std::string, Best> keep;
     std::vector<std::pair<std::string, storage::Rid>> watermarks;
     OPDELTA_RETURN_IF_ERROR(db_->Scan(
-        txn, table_, engine::Predicate::True(),
+        txn, kTable, engine::Predicate::True(),
         [&](const storage::Rid& rid, const catalog::Row& row) {
           if (row[kKind].AsString() != kWatermarkKind) return true;
           const std::string& source = row[kSource].AsString();
@@ -193,7 +193,7 @@ Status ApplyLedger::Compact(uint64_t* rows_removed) {
     // deletion, leaving the ledger larger but never wrong.
     for (const auto& [source, rid] : watermarks) {
       if (keep[source].rid == rid) continue;
-      OPDELTA_RETURN_IF_ERROR(db_->DeleteAt(txn, table_, rid));
+      OPDELTA_RETURN_IF_ERROR(db_->DeleteAt(txn, kTable, rid));
       ++removed;
     }
     return Status::OK();

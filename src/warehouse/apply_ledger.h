@@ -16,7 +16,7 @@ namespace opdelta::warehouse {
 /// a crash between apply and Ack redelivers the batch, and the ledger
 /// recognizes and drops it.
 ///
-/// Layout: an append-only table (default `__apply_ledger`) of rows
+/// Layout: an append-only table, `__apply_ledger`, of rows
 ///   (source TEXT, kind TEXT, epoch INT, seq INT, txns INT)
 /// with two row kinds:
 ///   'W' — watermark: batch (epoch, seq) applied through its first `txns`
@@ -41,11 +41,9 @@ namespace opdelta::warehouse {
 /// sources may Admit/Advance concurrently.
 class ApplyLedger {
  public:
-  static constexpr char kDefaultTable[] = "__apply_ledger";
+  static constexpr char kTable[] = "__apply_ledger";
 
-  explicit ApplyLedger(engine::Database* warehouse,
-                       std::string table = kDefaultTable)
-      : db_(warehouse), table_(std::move(table)) {}
+  explicit ApplyLedger(engine::Database* warehouse) : db_(warehouse) {}
 
   /// The ledger table's schema (source is the key column by convention).
   static catalog::Schema TableSchema();
@@ -95,14 +93,12 @@ class ApplyLedger {
   /// Runs in its own transaction; holes are never compacted away.
   Status Compact(uint64_t* rows_removed = nullptr);
 
-  const std::string& table() const { return table_; }
 
  private:
   /// Largest hole row for (source, epoch, seq), or exists=false.
   Result<Watermark> FindHole(const extract::BatchId& id);
 
   engine::Database* db_;
-  std::string table_;
 };
 
 }  // namespace opdelta::warehouse

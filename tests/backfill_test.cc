@@ -5,10 +5,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <optional>
 #include <random>
+#include <string>
 #include <thread>
 
-#include "backfill/chunk_ledger.h"
+#include "backfill/cursor_ledger.h"
 #include "common/fault_env.h"
 #include "hub/delta_hub.h"
 #include "pipeline/source_leg.h"
@@ -108,54 +110,89 @@ TEST(SnapshotFrameTest, RoundTripsSnapshotMarker) {
 
 // ----------------------------------------------------------- chunk ledger
 
+/// A ledger instance loaded fresh from the database, as a restart sees it.
+CursorLedger Reload(engine::Database* db, const std::string& table,
+                    const std::string& job) {
+  CursorLedger ledger(db, table, job);
+  OPDELTA_EXPECT_OK(ledger.Setup());
+  return ledger;
+}
+
+// A backfill's walk over the shared cursor ledger: one pass, whose pass row
+// means done. The scrub's walk is covered in scrub_test.cc.
 TEST(ChunkLedgerTest, AdvanceResumeCompactAndDone) {
   TempDir dir;
   auto db = OpenDb(dir, "src", NoTimestampOptions());
-  ChunkLedger ledger(db.get());
-  OPDELTA_ASSERT_OK(ledger.Setup());
-  OPDELTA_ASSERT_OK(ledger.Setup());  // idempotent
+  CursorLedger backfill(db.get(), "parts", "backfill");
+  OPDELTA_ASSERT_OK(backfill.Setup());
+  OPDELTA_ASSERT_OK(backfill.Setup());  // idempotent
+  EXPECT_EQ(backfill.passes_done(), 0u);
+  EXPECT_FALSE(backfill.cursor().has_value());
+  EXPECT_EQ(backfill.chunks(), 0u);
+  EXPECT_EQ(backfill.rows(), 0u);
 
-  Result<ChunkLedger::Progress> p = ledger.Get("parts");
-  OPDELTA_ASSERT_OK(p.status());
-  EXPECT_FALSE(p->exists);
+  OPDELTA_ASSERT_OK(backfill.Advance(15, 16));
+  OPDELTA_ASSERT_OK(backfill.Advance(31, 16));
+  CursorLedger other_table(db.get(), "other", "backfill");
+  OPDELTA_ASSERT_OK(other_table.Setup());
+  OPDELTA_ASSERT_OK(other_table.Advance(99, 80));
+  CursorLedger scrub(db.get(), "parts", "scrub");
+  OPDELTA_ASSERT_OK(scrub.Setup());
+  OPDELTA_ASSERT_OK(scrub.Advance(40, 8));
 
-  OPDELTA_ASSERT_OK(ledger.Advance("parts", 1, 15, 16));
-  OPDELTA_ASSERT_OK(ledger.Advance("parts", 2, 31, 32));
-  OPDELTA_ASSERT_OK(ledger.Advance("other", 5, 99, 80));
-  p = ledger.Get("parts");
-  OPDELTA_ASSERT_OK(p.status());
-  EXPECT_TRUE(p->exists);
-  EXPECT_FALSE(p->done);
-  EXPECT_EQ(p->chunks_done, 2u);
-  EXPECT_EQ(p->cursor, 31);
-  EXPECT_EQ(p->rows_shipped, 32u);
+  // Resume: a fresh instance picks up the newest row of its walk.
+  CursorLedger p = Reload(db.get(), "parts", "backfill");
+  EXPECT_EQ(p.passes_done(), 0u);
+  EXPECT_EQ(p.cursor(), std::optional<int64_t>(31));
+  EXPECT_EQ(p.chunks(), 2u);
+  EXPECT_EQ(p.rows(), 32u);
 
-  // Compaction keeps only the newest cursor row per table.
+  // Compaction keeps only the walk's newest row; other walks keep theirs.
   uint64_t removed = 0;
-  OPDELTA_ASSERT_OK(ledger.Compact(&removed));
-  EXPECT_EQ(removed, 1u);  // parts chunk 1; "other" has a single row
-  p = ledger.Get("parts");
-  OPDELTA_ASSERT_OK(p.status());
-  EXPECT_EQ(p->chunks_done, 2u);
-  EXPECT_EQ(p->cursor, 31);
+  OPDELTA_ASSERT_OK(p.Compact(&removed));
+  EXPECT_EQ(removed, 1u);  // parts chunk 1
+  EXPECT_EQ(CountRows(db.get(), CursorLedger::kTable), 3u);
+  p = Reload(db.get(), "parts", "backfill");
+  EXPECT_EQ(p.cursor(), std::optional<int64_t>(31));
+  EXPECT_EQ(p.chunks(), 2u);
 
-  OPDELTA_ASSERT_OK(ledger.MarkDone("parts", 3, 40));
-  p = ledger.Get("parts");
-  OPDELTA_ASSERT_OK(p.status());
-  EXPECT_TRUE(p->done);
-  EXPECT_EQ(p->chunks_done, 3u);
-  EXPECT_EQ(p->rows_shipped, 40u);
+  // Done: the pass row ends the backfill, and compaction keeps it over the
+  // cursor row it supersedes.
+  OPDELTA_ASSERT_OK(p.FinishPass(8));
+  OPDELTA_ASSERT_OK(p.Compact(&removed));
+  EXPECT_EQ(removed, 1u);
+  p = Reload(db.get(), "parts", "backfill");
+  EXPECT_EQ(p.passes_done(), 1u);
+  EXPECT_FALSE(p.cursor().has_value());
+  EXPECT_EQ(p.chunks(), 3u);
+  EXPECT_EQ(p.rows(), 40u);
 
-  // Done markers survive compaction; the other table is untouched.
-  OPDELTA_ASSERT_OK(ledger.Compact(&removed));
-  p = ledger.Get("parts");
-  OPDELTA_ASSERT_OK(p.status());
-  EXPECT_TRUE(p->done);
-  Result<ChunkLedger::Progress> other = ledger.Get("other");
-  OPDELTA_ASSERT_OK(other.status());
-  EXPECT_TRUE(other->exists);
-  EXPECT_FALSE(other->done);
-  EXPECT_EQ(other->chunks_done, 5u);
+  // Isolation per table and per job.
+  CursorLedger o = Reload(db.get(), "other", "backfill");
+  EXPECT_EQ(o.passes_done(), 0u);
+  EXPECT_EQ(o.cursor(), std::optional<int64_t>(99));
+  EXPECT_EQ(o.chunks(), 1u);
+  EXPECT_EQ(o.rows(), 80u);
+  CursorLedger s = Reload(db.get(), "parts", "scrub");
+  EXPECT_EQ(s.passes_done(), 0u);
+  EXPECT_EQ(s.cursor(), std::optional<int64_t>(40));
+  CursorLedger none = Reload(db.get(), "other", "scrub");
+  EXPECT_EQ(none.passes_done(), 0u);
+  EXPECT_FALSE(none.cursor().has_value());
+  EXPECT_EQ(none.chunks(), 0u);
+
+  // Reset starts the walk over and leaves every other walk alone.
+  OPDELTA_ASSERT_OK(p.Reset());
+  EXPECT_EQ(p.passes_done(), 0u);
+  p = Reload(db.get(), "parts", "backfill");
+  EXPECT_EQ(p.passes_done(), 0u);
+  EXPECT_FALSE(p.cursor().has_value());
+  EXPECT_EQ(p.chunks(), 0u);
+  EXPECT_EQ(p.rows(), 0u);
+  EXPECT_EQ(Reload(db.get(), "parts", "scrub").cursor(),
+            std::optional<int64_t>(40));
+  EXPECT_EQ(Reload(db.get(), "other", "backfill").cursor(),
+            std::optional<int64_t>(99));
 }
 
 // ------------------------------------------------- standalone backfiller
@@ -168,7 +205,7 @@ struct LegFixture {
     workload::PartsWorkload wl;
     OPDELTA_EXPECT_OK(wl.CreateTable(src.get(), "parts"));
     OPDELTA_EXPECT_OK(wl.CreateTable(wh.get(), "parts"));
-    OPDELTA_EXPECT_OK(Backfiller::EnsureSignalTable(wh.get()));
+    OPDELTA_EXPECT_OK(ChunkWindow::EnsureSignalTable(wh.get()));
     pipeline::PipelineOptions po;
     po.method = method;
     po.source_table = "parts";
@@ -216,7 +253,7 @@ TEST(BackfillerTest, RequiresInt64KeyColumn) {
   OPDELTA_ASSERT_OK(leg.status());
   OPDELTA_ASSERT_OK((*leg)->Setup());
   Result<std::unique_ptr<Backfiller>> bf =
-      Backfiller::Create(leg->get(), BackfillOptions());
+      Backfiller::Create(leg->get(), /*chunk_rows=*/256);
   EXPECT_EQ(bf.status().code(), StatusCode::kNotSupported);
 }
 
@@ -224,7 +261,7 @@ TEST(BackfillerTest, EmptyTableCompletesImmediately) {
   TempDir dir;
   LegFixture fx(dir);
   Result<std::unique_ptr<Backfiller>> bf =
-      Backfiller::Create(fx.leg.get(), BackfillOptions());
+      Backfiller::Create(fx.leg.get(), /*chunk_rows=*/256);
   ASSERT_TRUE(bf.ok()) << bf.status().ToString();
   OPDELTA_ASSERT_OK((*bf)->Setup());
   bool done = false;
@@ -257,10 +294,8 @@ TEST(BackfillerTest, PendingDeltaWinsOverChunkRows) {
   OPDELTA_ASSERT_OK(
       capture->RunTransaction({wl.MakeDelete("parts", 10, 12)}).status());
 
-  BackfillOptions options;
-  options.chunk_rows = 16;
   Result<std::unique_ptr<Backfiller>> bf =
-      Backfiller::Create(fx.leg.get(), options);
+      Backfiller::Create(fx.leg.get(), /*chunk_rows=*/16);
   ASSERT_TRUE(bf.ok()) << bf.status().ToString();
   OPDELTA_ASSERT_OK((*bf)->Setup());
   bool done = false;
@@ -291,10 +326,8 @@ TEST(BackfillerTest, ChunkReaderReleasesLocksOnMidChunkError) {
   workload::PartsWorkload wl;
   OPDELTA_ASSERT_OK(wl.Populate(fx.src.get(), "parts", 20));
 
-  BackfillOptions bf_options;
-  bf_options.chunk_rows = 16;
   Result<std::unique_ptr<Backfiller>> bf =
-      Backfiller::Create(fx.leg.get(), bf_options);
+      Backfiller::Create(fx.leg.get(), /*chunk_rows=*/16);
   ASSERT_TRUE(bf.ok()) << bf.status().ToString();
   OPDELTA_ASSERT_OK((*bf)->Setup());
 

@@ -166,6 +166,15 @@ class HubIntegrationTest : public ::testing::Test {
         "parts", base, base + 6, "r" + std::to_string(round))));
   }
 
+  /// The same comparisons as ExpectWarehouseConverged, for wait loops.
+  bool WarehouseConverged() {
+    return TablesEqual(src_ts_.get(), "parts", wh_.get(), "parts_ts") &&
+           TablesEqual(src_log_.get(), "parts", wh_.get(), "parts_log") &&
+           TablesEqual(src_op_.get(), "parts", wh_.get(), "parts") &&
+           TablesEqual(replica1_.get(), "parts", wh_.get(), "parts_rep") &&
+           TablesEqual(replica1_.get(), "parts", replica2_.get(), "parts");
+  }
+
   void ExpectWarehouseConverged() {
     EXPECT_TRUE(TablesEqual(src_ts_.get(), "parts", wh_.get(), "parts_ts"));
     EXPECT_TRUE(TablesEqual(src_log_.get(), "parts", wh_.get(), "parts_log"));
@@ -297,15 +306,12 @@ TEST_F(HubIntegrationTest, BackgroundDriverIntegratesContinuously) {
 
   for (int round = 0; round < 3; ++round) DriveRound(hub->get(), round);
 
-  // Wait (bounded) for the driver to absorb everything. The bound is
-  // generous: under `ctest -j$(nproc)` with the runtime lock checker on,
-  // the driver thread can be starved for seconds at a time.
-  const uint64_t want = CountRows(src_log_.get(), "parts");
+  // Wait (bounded) for the driver to absorb everything: every mirror, not
+  // just one, since the lanes apply independently. The bound is generous:
+  // under `ctest -j$(nproc)` with the runtime lock checker on, the driver
+  // thread can be starved for seconds at a time.
   for (int i = 0; i < 3000; ++i) {
-    if (CountRows(wh_.get(), "parts_log") == want &&
-        (*hub)->Stats().staging_bytes == 0) {
-      break;
-    }
+    if (WarehouseConverged() && (*hub)->Stats().staging_bytes == 0) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   OPDELTA_ASSERT_OK((*hub)->Stop());

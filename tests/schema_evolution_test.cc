@@ -661,7 +661,7 @@ TEST_F(HubSchemaEvolutionTest, DdlMigratesWarehouseAndConverges) {
 
   EXPECT_EQ(wh_->GetTable("parts")->schema().num_columns(), 5u);
   EXPECT_TRUE(TablesEqual(src_.get(), "parts", wh_.get(), "parts"));
-  const hub::SourceStats& s = (*hub)->Stats().sources[0];
+  const hub::SourceStats s = (*hub)->Stats().sources[0];
   EXPECT_EQ(s.source_schema_epoch, 2u);
   EXPECT_EQ(s.applied_schema_epoch, 2u);
   EXPECT_EQ(s.dead_letters, 0u);
@@ -701,7 +701,7 @@ TEST_F(HubSchemaEvolutionTest, RestartBetweenCaptureAndApplyCatchesUp) {
   for (int i = 0; i < 6; ++i) OPDELTA_ASSERT_OK((*hub)->RunRound());
   EXPECT_EQ(wh_->GetTable("parts")->schema().num_columns(), 5u);
   EXPECT_TRUE(TablesEqual(src_.get(), "parts", wh_.get(), "parts"));
-  const hub::SourceStats& s = (*hub)->Stats().sources[0];
+  const hub::SourceStats s = (*hub)->Stats().sources[0];
   EXPECT_EQ(s.source_schema_epoch, s.applied_schema_epoch);
   EXPECT_EQ(s.chunks_mismatched, 0u);
   EXPECT_FALSE(s.quarantined);
@@ -737,7 +737,7 @@ TEST_F(HubSchemaEvolutionTest, MigrationRestartsBackfillForAddedColumns) {
   for (int i = 0; i < 40 && !(*hub)->Stats().sources[0].backfill_done; ++i) {
     OPDELTA_ASSERT_OK((*hub)->RunRound());
   }
-  const hub::SourceStats& s = (*hub)->Stats().sources[0];
+  const hub::SourceStats s = (*hub)->Stats().sources[0];
   EXPECT_TRUE(s.backfill_done);
   EXPECT_EQ(s.rows_backfilled, 64u) << "restart must re-ship every chunk";
   EXPECT_TRUE(TablesEqual(src_.get(), "parts", wh_.get(), "parts"));
@@ -779,7 +779,7 @@ TEST_F(HubSchemaEvolutionTest, IncompatibleDdlQuarantinesWithReason) {
     if (!(*hub)->RunRound().ok()) ++failed_rounds;
   }
   EXPECT_GE(failed_rounds, 2);
-  const hub::SourceStats& s = (*hub)->Stats().sources[0];
+  const hub::SourceStats s = (*hub)->Stats().sources[0];
   EXPECT_TRUE(s.quarantined);
   EXPECT_EQ(s.dead_letters, 0u) << "poison DDL must not be dead-lettered";
   EXPECT_NE(s.last_error.find("incompatible"), std::string::npos)
@@ -928,12 +928,15 @@ TEST_P(RandomizedDdlTest, ConcurrentWritesAndDdlConverge) {
     // round's DDL. Updates and deletes survive any column set.
     std::atomic<bool> writer_failed{false};
     std::string writer_error;
+    // The writer's key bound is copied: the mainline below advances
+    // next_key while the writer runs.
+    const int64_t writer_max_key = next_key;
     std::thread writer([&] {
       for (int i = 0; i < 8; ++i) {
         Status st = retry([&] {
           Result<sql::Statement> stmt = sql::Parser::Parse(
               "UPDATE parts SET status = 'w" + std::to_string(i) +
-              "' WHERE id <= " + std::to_string(next_key));
+              "' WHERE id <= " + std::to_string(writer_max_key));
           if (!stmt.ok()) return stmt.status();
           return capture->RunTransaction({*std::move(stmt)}).status();
         });
@@ -1005,7 +1008,7 @@ TEST_P(RandomizedDdlTest, ConcurrentWritesAndDdlConverge) {
   EXPECT_TRUE(src->GetTable("parts")->schema() ==
               wh->GetTable("parts")->schema())
       << "seed " << seed;
-  const hub::SourceStats& s = (*hub)->Stats().sources[0];
+  const hub::SourceStats s = (*hub)->Stats().sources[0];
   EXPECT_EQ(s.chunks_mismatched, 0u)
       << "seed " << seed << ": epoch-aware scrub false positive";
   EXPECT_EQ(s.dead_letters, 0u) << "seed " << seed;

@@ -5,17 +5,21 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <memory>
+#include <optional>
 #include <random>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "backfill/backfiller.h"
 #include "catalog/row_codec.h"
 #include "common/env.h"
+#include "extract/op_delta.h"
 #include "hub/delta_hub.h"
 #include "pipeline/source_leg.h"
-#include "scrub/scrub_ledger.h"
+#include "sql/parser.h"
 #include "storage/page.h"
 #include "workload/workload.h"
 #include "tests/test_util.h"
@@ -60,59 +64,96 @@ Status Retry(Fn&& fn) {
 
 // ------------------------------------------------------------ scrub ledger
 
+using backfill::CursorLedger;
+
+/// A ledger instance loaded fresh from the database, as a restart sees it.
+CursorLedger Reload(engine::Database* db, const std::string& table,
+                    const std::string& job) {
+  CursorLedger ledger(db, table, job);
+  OPDELTA_EXPECT_OK(ledger.Setup());
+  return ledger;
+}
+
+// A scrub's walk over the shared cursor ledger: passes without end, each
+// starting again from the smallest key.
 TEST(ScrubLedgerTest, ResumeCompactAndPassWrap) {
   TempDir dir;
   auto db = OpenDb(dir, "src", NoTimestampOptions());
-  ScrubLedger ledger(db.get());
-  OPDELTA_ASSERT_OK(ledger.Setup());
-  OPDELTA_ASSERT_OK(ledger.Setup());  // idempotent
-
-  Result<ScrubLedger::Progress> p = ledger.Get("parts");
-  OPDELTA_ASSERT_OK(p.status());
-  EXPECT_EQ(p->passes_complete, 0u);
-  EXPECT_EQ(p->pass, 1u);
-  EXPECT_FALSE(p->have_cursor);
+  CursorLedger scrub(db.get(), "parts", "scrub");
+  OPDELTA_ASSERT_OK(scrub.Setup());
+  OPDELTA_ASSERT_OK(scrub.Setup());  // idempotent
+  EXPECT_EQ(scrub.passes_done(), 0u);
+  EXPECT_FALSE(scrub.cursor().has_value());
+  EXPECT_EQ(scrub.chunks(), 0u);
 
   // Cursors are keys and may be negative — recency is the chunk count, not
   // the cursor value.
-  OPDELTA_ASSERT_OK(ledger.Advance("parts", 1, -5, 1));
-  OPDELTA_ASSERT_OK(ledger.Advance("parts", 1, -1, 2));
-  OPDELTA_ASSERT_OK(ledger.Advance("other", 3, 99, 4));
-  p = ledger.Get("parts");
-  OPDELTA_ASSERT_OK(p.status());
-  EXPECT_EQ(p->pass, 1u);
-  EXPECT_TRUE(p->have_cursor);
-  EXPECT_EQ(p->cursor, -1);
-  EXPECT_EQ(p->chunks, 2u);
+  OPDELTA_ASSERT_OK(scrub.Advance(-5, 1));
+  OPDELTA_ASSERT_OK(scrub.Advance(-1, 1));
+  CursorLedger other_table(db.get(), "other", "scrub");
+  OPDELTA_ASSERT_OK(other_table.Setup());
+  OPDELTA_ASSERT_OK(other_table.Advance(99, 4));
+  CursorLedger backfill(db.get(), "parts", "backfill");
+  OPDELTA_ASSERT_OK(backfill.Setup());
+  OPDELTA_ASSERT_OK(backfill.Advance(12, 16));
+
+  // Resume: a fresh instance picks up the newest row of its walk.
+  CursorLedger s = Reload(db.get(), "parts", "scrub");
+  EXPECT_EQ(s.passes_done(), 0u);
+  EXPECT_EQ(s.cursor(), std::optional<int64_t>(-1));
+  EXPECT_EQ(s.chunks(), 2u);
+  EXPECT_EQ(s.rows(), 2u);
 
   uint64_t removed = 0;
-  OPDELTA_ASSERT_OK(ledger.Compact(&removed));
+  OPDELTA_ASSERT_OK(s.Compact(&removed));
   EXPECT_EQ(removed, 1u);  // the superseded parts cursor
-  p = ledger.Get("parts");
-  OPDELTA_ASSERT_OK(p.status());
-  EXPECT_EQ(p->cursor, -1);
+  EXPECT_EQ(CountRows(db.get(), CursorLedger::kTable), 3u);
+  s = Reload(db.get(), "parts", "scrub");
+  EXPECT_EQ(s.cursor(), std::optional<int64_t>(-1));
 
-  // A completed pass retires its cursor: the next pass starts fresh.
-  OPDELTA_ASSERT_OK(ledger.MarkPass("parts", 1, 3));
-  p = ledger.Get("parts");
-  OPDELTA_ASSERT_OK(p.status());
-  EXPECT_EQ(p->passes_complete, 1u);
-  EXPECT_EQ(p->pass, 2u);
-  EXPECT_FALSE(p->have_cursor);
+  // A finished pass retires its cursor: the next pass starts fresh.
+  OPDELTA_ASSERT_OK(s.FinishPass(3));
+  EXPECT_EQ(s.passes_done(), 1u);
+  EXPECT_FALSE(s.cursor().has_value());
+  EXPECT_EQ(s.chunks(), 3u);
+  EXPECT_EQ(s.rows(), 5u);
 
-  // A mid-pass cursor of the NEW pass resumes; the other table's state is
-  // untouched by compaction.
-  OPDELTA_ASSERT_OK(ledger.Advance("parts", 2, 40, 1));
-  OPDELTA_ASSERT_OK(ledger.Compact(&removed));
-  p = ledger.Get("parts");
-  OPDELTA_ASSERT_OK(p.status());
-  EXPECT_EQ(p->pass, 2u);
-  EXPECT_TRUE(p->have_cursor);
-  EXPECT_EQ(p->cursor, 40);
-  Result<ScrubLedger::Progress> other = ledger.Get("other");
-  OPDELTA_ASSERT_OK(other.status());
-  EXPECT_EQ(other->pass, 3u);
-  EXPECT_EQ(other->cursor, 99);
+  // A mid-pass cursor of the NEW pass resumes after a restart.
+  OPDELTA_ASSERT_OK(s.Advance(7, 8));
+  OPDELTA_ASSERT_OK(s.Compact(&removed));
+  EXPECT_EQ(removed, 2u);  // pass 1's cursor and pass rows
+  s = Reload(db.get(), "parts", "scrub");
+  EXPECT_EQ(s.passes_done(), 1u);
+  EXPECT_EQ(s.cursor(), std::optional<int64_t>(7));
+  EXPECT_EQ(s.chunks(), 1u);
+  EXPECT_EQ(s.rows(), 8u);
+  OPDELTA_ASSERT_OK(s.FinishPass(2));
+  EXPECT_EQ(s.passes_done(), 2u);
+  EXPECT_EQ(s.chunks(), 2u);
+  EXPECT_EQ(s.rows(), 10u);
+
+  // Other walks are untouched by this one's compactions.
+  CursorLedger o = Reload(db.get(), "other", "scrub");
+  EXPECT_EQ(o.passes_done(), 0u);
+  EXPECT_EQ(o.cursor(), std::optional<int64_t>(99));
+  EXPECT_EQ(o.chunks(), 1u);
+  EXPECT_EQ(o.rows(), 4u);
+  EXPECT_EQ(Reload(db.get(), "parts", "backfill").cursor(),
+            std::optional<int64_t>(12));
+
+  // A walk compacts itself every kCompactEvery appends.
+  const uint64_t before = CountRows(db.get(), CursorLedger::kTable);
+  CursorLedger busy(db.get(), "busy", "scrub");
+  OPDELTA_ASSERT_OK(busy.Setup());
+  const uint64_t appends = CursorLedger::kCompactEvery + 8;
+  for (uint64_t i = 0; i < appends; ++i) {
+    OPDELTA_ASSERT_OK(busy.Advance(static_cast<int64_t>(i), 1));
+  }
+  EXPECT_EQ(CountRows(db.get(), CursorLedger::kTable), before + 9);
+  busy = Reload(db.get(), "busy", "scrub");
+  EXPECT_EQ(busy.chunks(), appends);
+  EXPECT_EQ(busy.cursor(),
+            std::optional<int64_t>(static_cast<int64_t>(appends - 1)));
 }
 
 // ------------------------------------------------- standalone scrubber
@@ -127,7 +168,7 @@ struct ScrubFixture {
     workload::PartsWorkload src_wl, wh_wl;
     OPDELTA_EXPECT_OK(src_wl.CreateTable(src.get(), "parts"));
     OPDELTA_EXPECT_OK(wh_wl.CreateTable(wh.get(), "parts"));
-    OPDELTA_EXPECT_OK(backfill::Backfiller::EnsureSignalTable(wh.get()));
+    OPDELTA_EXPECT_OK(backfill::ChunkWindow::EnsureSignalTable(wh.get()));
     if (rows > 0) {
       OPDELTA_EXPECT_OK(src_wl.Populate(src.get(), "parts", rows));
       OPDELTA_EXPECT_OK(wh_wl.Populate(wh.get(), "parts", rows));
@@ -159,11 +200,12 @@ struct ScrubFixture {
     }
   }
 
-  Result<std::unique_ptr<Scrubber>> MakeScrubber(ScrubOptions options) {
+  Result<std::unique_ptr<Scrubber>> MakeScrubber(uint64_t chunk_rows,
+                                                 bool repair = true) {
     OPDELTA_ASSIGN_OR_RETURN(
         std::unique_ptr<Scrubber> scrubber,
         Scrubber::Create(leg.get(), wh.get(), [this] { return DrainAll(); },
-                         options));
+                         chunk_rows, repair));
     OPDELTA_RETURN_IF_ERROR(scrubber->Setup());
     return scrubber;
   }
@@ -193,23 +235,20 @@ TEST(ScrubberTest, RejectsMissingOrMismatchedWarehouseTable) {
     OPDELTA_ASSERT_OK(bare.wh->DropTable("parts"));
     Result<std::unique_ptr<Scrubber>> sc = Scrubber::Create(
         bare.leg.get(), bare.wh.get(), [] { return Status::OK(); },
-        ScrubOptions());
+        /*chunk_rows=*/256, /*repair=*/true);
     EXPECT_EQ(sc.status().code(), StatusCode::kNotFound);
   }
   // Invalid chunk size.
-  ScrubOptions zero;
-  zero.chunk_rows = 0;
   Result<std::unique_ptr<Scrubber>> sc = Scrubber::Create(
-      fx.leg.get(), fx.wh.get(), [] { return Status::OK(); }, zero);
+      fx.leg.get(), fx.wh.get(), [] { return Status::OK(); },
+      /*chunk_rows=*/0, /*repair=*/true);
   EXPECT_EQ(sc.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ScrubberTest, CleanTableVerifiesWithoutMismatch) {
   TempDir dir;
   ScrubFixture fx(dir, 100);
-  ScrubOptions options;
-  options.chunk_rows = 16;
-  Result<std::unique_ptr<Scrubber>> sc = fx.MakeScrubber(options);
+  Result<std::unique_ptr<Scrubber>> sc = fx.MakeScrubber(/*chunk_rows=*/16);
   ASSERT_TRUE(sc.ok()) << sc.status().ToString();
 
   fx.RunOnePass(sc->get());
@@ -270,9 +309,7 @@ TEST(ScrubberTest, RepairsFlippedDeletedAndPhantomRows) {
         .status();
   }));
 
-  ScrubOptions options;
-  options.chunk_rows = 16;
-  Result<std::unique_ptr<Scrubber>> sc = fx.MakeScrubber(options);
+  Result<std::unique_ptr<Scrubber>> sc = fx.MakeScrubber(/*chunk_rows=*/16);
   ASSERT_TRUE(sc.ok()) << sc.status().ToString();
 
   fx.RunOnePass(sc->get());
@@ -298,10 +335,8 @@ TEST(ScrubberTest, ReportOnlyCountsWithoutRepairing) {
         .status();
   }));
 
-  ScrubOptions options;
-  options.chunk_rows = 16;
-  options.repair = false;
-  Result<std::unique_ptr<Scrubber>> sc = fx.MakeScrubber(options);
+  Result<std::unique_ptr<Scrubber>> sc =
+      fx.MakeScrubber(/*chunk_rows=*/16, /*repair=*/false);
   ASSERT_TRUE(sc.ok()) << sc.status().ToString();
   fx.RunOnePass(sc->get());
   EXPECT_EQ((*sc)->stats().chunks_mismatched, 1u);
@@ -337,9 +372,7 @@ TEST(ScrubberTest, RepairsDeadLetterHole) {
   ASSERT_GT(dropped, 0u);
   ASSERT_FALSE(TablesEqual(fx.src.get(), "parts", fx.wh.get(), "parts"));
 
-  ScrubOptions options;
-  options.chunk_rows = 16;
-  Result<std::unique_ptr<Scrubber>> sc = fx.MakeScrubber(options);
+  Result<std::unique_ptr<Scrubber>> sc = fx.MakeScrubber(/*chunk_rows=*/16);
   ASSERT_TRUE(sc.ok()) << sc.status().ToString();
   fx.RunOnePass(sc->get());
   EXPECT_GT((*sc)->stats().chunks_repaired, 0u);
@@ -355,9 +388,7 @@ TEST(ScrubberTest, InFlightDeltasAreInconclusiveNotMismatched) {
   extract::OpDeltaCapture* capture = fx.leg->capture();
   ASSERT_NE(capture, nullptr);
 
-  ScrubOptions options;
-  options.chunk_rows = 16;
-  Result<std::unique_ptr<Scrubber>> sc = fx.MakeScrubber(options);
+  Result<std::unique_ptr<Scrubber>> sc = fx.MakeScrubber(/*chunk_rows=*/16);
   ASSERT_TRUE(sc.ok()) << sc.status().ToString();
 
   // A pending capture event lands inside the first chunk's window (the
@@ -380,10 +411,8 @@ TEST(ScrubberTest, InFlightDeltasAreInconclusiveNotMismatched) {
 TEST(ScrubberTest, ResumesCursorFromLedgerAcrossRestart) {
   TempDir dir;
   ScrubFixture fx(dir, 100);
-  ScrubOptions options;
-  options.chunk_rows = 16;
   {
-    Result<std::unique_ptr<Scrubber>> sc = fx.MakeScrubber(options);
+    Result<std::unique_ptr<Scrubber>> sc = fx.MakeScrubber(/*chunk_rows=*/16);
     ASSERT_TRUE(sc.ok()) << sc.status().ToString();
     for (int step = 0; step < 3; ++step) OPDELTA_ASSERT_OK((*sc)->Step());
     EXPECT_EQ((*sc)->stats().chunks_scrubbed, 3u);
@@ -391,7 +420,7 @@ TEST(ScrubberTest, ResumesCursorFromLedgerAcrossRestart) {
   }
   // A fresh scrubber resumes mid-pass from the durable cursor: finishing
   // the pass takes only the remaining 4 chunks.
-  Result<std::unique_ptr<Scrubber>> sc = fx.MakeScrubber(options);
+  Result<std::unique_ptr<Scrubber>> sc = fx.MakeScrubber(/*chunk_rows=*/16);
   ASSERT_TRUE(sc.ok()) << sc.status().ToString();
   const int steps = fx.RunOnePass(sc->get());
   EXPECT_EQ(steps, 4);
@@ -416,10 +445,8 @@ TEST(ScrubberTest, EscalatesWhenRepairNeverConverges) {
   };
   OPDELTA_ASSERT_OK(corrupt());
 
-  ScrubOptions options;
-  options.chunk_rows = 16;  // the whole table is one chunk
-  options.escalate_after = 2;
-  Result<std::unique_ptr<Scrubber>> sc = fx.MakeScrubber(options);
+  // 16 rows per chunk: the whole table is one chunk.
+  Result<std::unique_ptr<Scrubber>> sc = fx.MakeScrubber(/*chunk_rows=*/16);
   ASSERT_TRUE(sc.ok()) << sc.status().ToString();
 
   Status st;
@@ -432,7 +459,107 @@ TEST(ScrubberTest, EscalatesWhenRepairNeverConverges) {
     repairs_seen = static_cast<int>((*sc)->stats().chunks_repaired);
   }
   EXPECT_EQ(st.code(), StatusCode::kInternal) << st.ToString();
-  EXPECT_EQ(repairs_seen, 2);  // escalated on the third strike
+  // Escalated on the strike after the last allowed repair.
+  EXPECT_EQ(repairs_seen, Scrubber::kEscalateAfter);
+}
+
+// ------------------------------------------------------ watermark signals
+
+/// Inserts into the signal table carried by one shipped message.
+Status CountSignalInserts(engine::Database* src, const std::string& message,
+                          int* inserts) {
+  pipeline::ShippedMessage shipped;
+  OPDELTA_RETURN_IF_ERROR(pipeline::DecodeMessage(Slice(message), &shipped));
+  if (shipped.kind != pipeline::PayloadKind::kOpDelta) {
+    if (shipped.batch.table == backfill::ChunkWindow::kSignalTable) {
+      *inserts += static_cast<int>(shipped.batch.records.size());
+    }
+    return Status::OK();
+  }
+  OPDELTA_ASSIGN_OR_RETURN(std::shared_ptr<const catalog::SchemaMap> schemas,
+                           src->SchemaMapAt(shipped.id.schema_epoch));
+  std::vector<extract::OpDeltaTxn> txns;
+  OPDELTA_RETURN_IF_ERROR(
+      extract::ParseOpDeltaLog(shipped.op_body, *schemas, &txns));
+  for (const extract::OpDeltaTxn& t : txns) {
+    for (const extract::OpDeltaRecord& op : t.ops) {
+      if (op.is_schema_event()) continue;
+      OPDELTA_ASSIGN_OR_RETURN(sql::Statement stmt, sql::Parser::Parse(op.sql));
+      if (stmt.is_insert() &&
+          stmt.insert().table == backfill::ChunkWindow::kSignalTable) {
+        *inserts += static_cast<int>(stmt.insert().rows.size());
+      }
+    }
+  }
+  return Status::OK();
+}
+
+/// Each window writes one high watermark and no low one: an op-delta
+/// backfill chunk and an op-delta scrub verify window each ship exactly
+/// one signal insert, and a value-delta (trigger) source, whose windows
+/// close on a dry drain, writes no signal row at all.
+TEST(WatermarkSignalTest, OneHighMarkerPerOpDeltaWindowNoneForTrigger) {
+  {
+    TempDir dir;
+    ScrubFixture fx(dir, 40);
+    int inserts = 0;
+    auto drain = [&]() -> Status {
+      while (true) {
+        std::string message;
+        Status st = fx.leg->PeekShipped(&message);
+        if (st.IsNotFound()) return Status::OK();
+        OPDELTA_RETURN_IF_ERROR(st);
+        OPDELTA_RETURN_IF_ERROR(
+            CountSignalInserts(fx.src.get(), message, &inserts));
+        OPDELTA_RETURN_IF_ERROR(fx.leg->Integrate(
+            fx.wh.get(), nullptr, message, pipeline::ApplyContext(), nullptr));
+        OPDELTA_RETURN_IF_ERROR(fx.leg->AckShipped());
+      }
+    };
+
+    // A backfill chunk that does not finish the table (so no cleanup).
+    Result<std::unique_ptr<backfill::Backfiller>> bf =
+        backfill::Backfiller::Create(fx.leg.get(), /*chunk_rows=*/16);
+    ASSERT_TRUE(bf.ok()) << bf.status().ToString();
+    OPDELTA_ASSERT_OK((*bf)->Setup());
+    bool done = true;
+    OPDELTA_ASSERT_OK((*bf)->Step(&done));
+    ASSERT_FALSE(done);
+    OPDELTA_ASSERT_OK(drain());
+    EXPECT_EQ(inserts, 1);
+
+    // A scrub verify window that does not finish the pass.
+    inserts = 0;
+    Result<std::unique_ptr<Scrubber>> sc = Scrubber::Create(
+        fx.leg.get(), fx.wh.get(), drain, /*chunk_rows=*/16, /*repair=*/true);
+    ASSERT_TRUE(sc.ok()) << sc.status().ToString();
+    OPDELTA_ASSERT_OK((*sc)->Setup());
+    OPDELTA_ASSERT_OK((*sc)->Step());
+    ASSERT_EQ((*sc)->stats().chunks_scrubbed, 1u);
+    ASSERT_FALSE((*sc)->pass_just_completed());
+    EXPECT_EQ(inserts, 1);
+    EXPECT_EQ(CountRows(fx.src.get(), backfill::ChunkWindow::kSignalTable),
+              2u);
+  }
+  {
+    TempDir dir;
+    ScrubFixture fx(dir, 40, pipeline::Method::kTrigger);
+    // The table exists, so a window that wrote a signal row would succeed.
+    OPDELTA_ASSERT_OK(backfill::ChunkWindow::EnsureSignalTable(fx.src.get()));
+    Result<std::unique_ptr<backfill::Backfiller>> bf =
+        backfill::Backfiller::Create(fx.leg.get(), /*chunk_rows=*/16);
+    ASSERT_TRUE(bf.ok()) << bf.status().ToString();
+    OPDELTA_ASSERT_OK((*bf)->Setup());
+    bool done = false;
+    while (!done) OPDELTA_ASSERT_OK((*bf)->Step(&done));
+    OPDELTA_ASSERT_OK(fx.DrainAll());
+    Result<std::unique_ptr<Scrubber>> sc = fx.MakeScrubber(/*chunk_rows=*/16);
+    ASSERT_TRUE(sc.ok()) << sc.status().ToString();
+    fx.RunOnePass(sc->get());
+    EXPECT_EQ((*sc)->stats().chunks_mismatched, 0u);
+    EXPECT_EQ(CountRows(fx.src.get(), backfill::ChunkWindow::kSignalTable),
+              0u);
+  }
 }
 
 // ------------------------------------------------------- hub integration

@@ -615,7 +615,7 @@ TEST_F(ApplyLedgerTest, CompactPrunesSupersededRowsOnly) {
   OPDELTA_ASSERT_OK(ledger_->Compact(&removed));
   // s1 had 4 superseded watermarks, s2 had 1; the hole is never compacted.
   EXPECT_EQ(removed, 5u);
-  EXPECT_EQ(CountRows(wh_.get(), ledger_->table()), 3u);
+  EXPECT_EQ(CountRows(wh_.get(), ApplyLedger::kTable), 3u);
 
   Result<ApplyLedger::Watermark> w1 = ledger_->Get("s1");
   OPDELTA_ASSERT_OK(w1.status());
@@ -643,7 +643,7 @@ TEST_F(ApplyLedgerTest, InvalidIdentityIsRejected) {
               StatusCode::kInvalidArgument);
   }
   // Nothing was recorded.
-  EXPECT_EQ(CountRows(wh_.get(), ledger_->table()), 0u);
+  EXPECT_EQ(CountRows(wh_.get(), ApplyLedger::kTable), 0u);
 }
 
 }  // namespace
